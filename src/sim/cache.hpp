@@ -5,11 +5,14 @@
 // write-combining), which both matches the full-line bursts our trace cores
 // issue and keeps the simulator's DRAM read counts consistent with the
 // analytic counting backend. Victim writebacks are posted downstream.
+//
+// Geometry must be a power of two in both line size and set count (every
+// configuration in the repo is): set and tag extraction are a shift and a
+// mask, over one flat [set x ways] array.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -56,28 +59,39 @@ class Cache final : public MemPort, public Requester {
     std::uint64_t lru = 0;
   };
 
+  // One outstanding fill and the requests merged into it, in arrival order.
+  struct Mshr {
+    std::uint64_t line = 0;
+    std::vector<MemReq> waiters;
+  };
+
   void lookup(const MemReq& req);
   Way* find(std::uint64_t addr);
   // Installs `addr`, evicting (and writing back) a victim if needed.
   Way& install(std::uint64_t addr);
   std::uint64_t set_index(std::uint64_t addr) const {
-    return (addr / cfg_.line_bytes) % sets_;
+    return (addr >> line_shift_) & set_mask_;
   }
-  std::uint64_t tag_of(std::uint64_t addr) const {
-    return addr / cfg_.line_bytes / sets_;
+  Way* set_of(std::uint64_t addr) {
+    return &ways_[set_index(addr) * cfg_.ways];
   }
+  std::uint64_t tag_of(std::uint64_t addr) const { return addr >> tag_shift_; }
   std::uint64_t line_addr(std::uint64_t addr) const {
-    return addr / cfg_.line_bytes * cfg_.line_bytes;
+    return addr & ~line_mask_;
   }
 
   Simulator& sim_;
   CacheConfig cfg_;
   MemPort* downstream_;
-  std::uint64_t sets_;
-  std::vector<std::vector<Way>> ways_;  // [set][way]
+  unsigned line_shift_ = 0;      // log2(line_bytes)
+  unsigned tag_shift_ = 0;       // log2(line_bytes * sets)
+  std::uint64_t line_mask_ = 0;  // line_bytes - 1
+  std::uint64_t set_mask_ = 0;   // sets - 1
+  std::vector<Way> ways_;        // [set * ways + way]
   std::uint64_t lru_clock_ = 0;
-  // Outstanding fills: line address -> requests waiting on the fill.
-  std::unordered_map<std::uint64_t, std::vector<MemReq>> mshr_;
+  // Outstanding fills, searched linearly. The table stays small: each core
+  // keeps at most CoreConfig::max_outstanding requests in flight.
+  std::vector<Mshr> mshr_;
   CacheStats stats_;
 };
 

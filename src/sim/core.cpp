@@ -7,12 +7,12 @@
 namespace tlm::sim {
 
 void BarrierController::arrive(Simulator& sim, std::uint64_t id,
-                               std::function<void()> resume) {
+                               Simulator::Handler resume) {
   TLM_REQUIRE(id == epoch_, "core arrived at a stale barrier epoch");
   waiting_.push_back(std::move(resume));
   if (waiting_.size() == parties_) {
     ++epoch_;
-    std::vector<std::function<void()>> release = std::move(waiting_);
+    std::vector<Simulator::Handler> release = std::move(waiting_);
     waiting_.clear();
     for (auto& fn : release) sim.schedule(0, std::move(fn));
   }
@@ -31,6 +31,7 @@ TraceCore::TraceCore(Simulator& sim, CoreConfig cfg, std::size_t id,
   TLM_REQUIRE(stream_ != nullptr && l1_ != nullptr && barrier_ != nullptr,
               "core is missing a connection");
   TLM_REQUIRE(cfg_.max_outstanding >= 1, "need at least one outstanding slot");
+  issue_time_.reserve(cfg_.max_outstanding);
 }
 
 void TraceCore::start() {
@@ -123,7 +124,12 @@ void TraceCore::issue_lines() {
     req.origin = this;
     (is_write ? stats_.stores : stats_.loads) += 1;
     ++outstanding_;
-    issue_time_[req.tag] = sim_.now();
+    auto it = issue_time_.begin();
+    while (it != issue_time_.end() && it->tag != req.tag) ++it;
+    if (it == issue_time_.end())
+      issue_time_.push_back(Issued{req.tag, sim_.now()});
+    else
+      it->at = sim_.now();
     l1_->request(req);
     cursor_ += cfg_.line_bytes;
   }
@@ -138,12 +144,15 @@ void TraceCore::issue_lines() {
 void TraceCore::on_response(const MemReq& req) {
   TLM_CHECK(outstanding_ > 0, "response with nothing outstanding");
   --outstanding_;
-  if (auto it = issue_time_.find(req.tag); it != issue_time_.end()) {
-    const double lat = to_seconds(sim_.now() - it->second);
-    stats_.access_latency.add(lat);
-    stats_.latency_hist.add(lat);
-    issue_time_.erase(it);
-  }
+  for (Issued& e : issue_time_)
+    if (e.tag == req.tag) {
+      const double lat = to_seconds(sim_.now() - e.at);
+      stats_.access_latency.add(lat);
+      stats_.latency_hist.add(lat);
+      e = issue_time_.back();
+      issue_time_.pop_back();
+      break;
+    }
   if (burst_active_) {
     issue_lines();
     return;

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -28,14 +26,14 @@ class BarrierController {
   explicit BarrierController(std::size_t parties) : parties_(parties) {}
 
   // Core `arrive`s at barrier `id`; `resume` fires when everyone is here.
-  void arrive(Simulator& sim, std::uint64_t id, std::function<void()> resume);
+  void arrive(Simulator& sim, std::uint64_t id, Simulator::Handler resume);
 
   std::uint64_t epoch() const { return epoch_; }
 
  private:
   std::size_t parties_;
   std::uint64_t epoch_ = 0;
-  std::vector<std::function<void()>> waiting_;
+  std::vector<Simulator::Handler> waiting_;
 };
 
 struct CoreStats {
@@ -90,7 +88,13 @@ class TraceCore final : public Requester {
   std::uint32_t dma_pending_ = 0;  // posted copies not yet completed
   bool burst_active_ = false;
   bool waiting_barrier_ = false;
-  std::unordered_map<std::uint64_t, SimTime> issue_time_;  // tag -> time
+  // Issue time per in-flight tag, at most max_outstanding entries. A tag
+  // re-issued while in flight overwrites its entry; a response erases it.
+  struct Issued {
+    std::uint64_t tag;
+    SimTime at;
+  };
+  std::vector<Issued> issue_time_;
   CoreStats stats_;
 };
 

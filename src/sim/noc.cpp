@@ -70,8 +70,15 @@ void Crossbar::inject(std::size_t src_ep, const MemReq& req) {
   MemReq fwd = req;
   if (!req.posted && !req.is_write) {
     // Read: responses return through the crossbar, so interpose.
-    const std::uint64_t id = next_txn_++;
-    txns_.emplace(id, Txn{req, src_ep, route->ep});
+    std::uint32_t id;
+    if (txn_free_.empty()) {
+      id = static_cast<std::uint32_t>(txns_.size());
+      txns_.push_back(Txn{req, src_ep, route->ep, true});
+    } else {
+      id = txn_free_.back();
+      txn_free_.pop_back();
+      txns_[id] = Txn{req, src_ep, route->ep, true};
+    }
     fwd.tag = id;
     fwd.origin = this;
   } else if (!req.posted && req.is_write) {
@@ -89,10 +96,11 @@ void Crossbar::inject(std::size_t src_ep, const MemReq& req) {
 }
 
 void Crossbar::on_response(const MemReq& req) {
-  auto it = txns_.find(req.tag);
-  TLM_CHECK(it != txns_.end(), "NoC response for unknown transaction");
-  const Txn txn = it->second;
-  txns_.erase(it);
+  TLM_CHECK(req.tag < txns_.size() && txns_[req.tag].live,
+            "NoC response for unknown transaction");
+  Txn& txn = txns_[req.tag];
+  txn.live = false;
+  txn_free_.push_back(static_cast<std::uint32_t>(req.tag));
   // Read data flows back dst -> src.
   const SimTime deliver =
       transfer(txn.dst_ep, txn.src_ep, cfg_.header_bytes + txn.original.bytes);

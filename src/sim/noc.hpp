@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -74,6 +73,7 @@ class Crossbar final : public Requester {
   struct Txn {
     MemReq original;
     std::size_t src_ep, dst_ep;
+    bool live;
   };
 
   class InjectPort final : public MemPort {
@@ -94,8 +94,10 @@ class Crossbar final : public Requester {
   NocConfig cfg_;
   std::vector<Endpoint> endpoints_;
   std::vector<Route> routes_;
-  std::unordered_map<std::uint64_t, Txn> txns_;
-  std::uint64_t next_txn_ = 1;
+  // In-flight reads, indexed by the tag the crossbar forwards downstream;
+  // retired slots are recycled through txn_free_.
+  std::vector<Txn> txns_;
+  std::vector<std::uint32_t> txn_free_;
   NocStats stats_;
 };
 

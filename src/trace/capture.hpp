@@ -26,6 +26,8 @@ struct TraceSummary {
     return reads + writes + computes + barriers + dmas;
   }
   void note(const TraceOp& op, bool coalesced);
+  // Field-wise sum: how the sinks fold their per-thread summaries on read.
+  TraceSummary& operator+=(const TraceSummary& o);
 };
 
 // Attempts to fold `op` into `tail` (the thread's most recent record):
@@ -65,9 +67,11 @@ class TraceBuffer final : public TraceSink, public TraceSource {
   }
   const std::vector<std::vector<TraceOp>>& streams() const { return streams_; }
 
-  // O(1): maintained incrementally as ops arrive (a billion-op capture must
-  // not be re-scanned to answer "how many ops").
-  const TraceSummary& summary() const { return summary_; }
+  // O(threads): per-thread summaries are maintained incrementally as ops
+  // arrive (a billion-op capture must not be re-scanned to answer "how many
+  // ops") and summed here. Capture-quiescent: call after the traced run has
+  // joined its threads.
+  TraceSummary summary() const;
 
   // Resets the buffer for reuse: drops every stream AND the incremental
   // summary/coalescing state, so a subsequent op can neither merge into a
@@ -78,10 +82,16 @@ class TraceBuffer final : public TraceSink, public TraceSource {
   std::string describe() const;
 
  private:
+  // One thread's summary on its own cache line: concurrent appenders
+  // (distinct thread ids, per the TraceSink contract) share no memory.
+  struct alignas(64) ThreadSummary {
+    TraceSummary s;
+  };
+
   void append(std::size_t thread, TraceOp op);
 
   std::vector<std::vector<TraceOp>> streams_;
-  TraceSummary summary_;
+  std::vector<ThreadSummary> summaries_;  // one per stream
 };
 
 }  // namespace tlm::trace

@@ -188,7 +188,8 @@ def main():
             fail(f"server-stress steps must mention '{needle}'")
 
     # bench-smoke: --json artifacts, schema validation, baseline diff,
-    # artifact upload.
+    # artifact upload, and the two hard identity gates (ω=1 no-op against
+    # table1_quick.json; cycle-sim statistics against table1_sim_quick.json).
     smoke = steps_text(jobs["bench-smoke"])
     for needle in (
         "--json",
@@ -206,6 +207,9 @@ def main():
         "bench/baselines/server_quick.json",
         "--max-changed=0",
         "bench/baselines/table1_quick.json",
+        "table1_sst_sort --cores=4 --n=60000 --near-mb=1",
+        "bench/baselines/table1_sim_quick.json",
+        "BENCH_table1_sim.json",
         "--warn-only",
         "actions/upload-artifact",
     ):

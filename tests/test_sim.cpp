@@ -3,6 +3,11 @@
 // and a small end-to-end system replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -53,6 +58,90 @@ TEST(Simulator, MaxEventsGuardStops) {
   sim.schedule(0, tick);
   EXPECT_EQ(sim.run(100), 100u);
   EXPECT_FALSE(sim.idle());
+}
+
+// A handler that schedules far past the slab's current capacity from inside
+// itself forces the slab to reallocate mid-call; the running handler was
+// moved out of its slot first, so its own capture must survive intact.
+TEST(Simulator, HandlerSchedulingPastSlabCapacitySurvivesGrowth) {
+  Simulator sim;
+  std::array<std::uint64_t, 4> seen{};
+  int children = 0;
+  const std::array<std::uint64_t, 4> payload = {2, 3, 5, 8};  // 56 B capture
+  sim.schedule(1, [&sim, &seen, &children, payload] {
+    for (int i = 0; i < 5000; ++i)
+      sim.schedule(static_cast<SimTime>(i % 7), [&children] { ++children; });
+    seen = payload;  // read the capture after the slab has grown
+  });
+  EXPECT_EQ(sim.run(), 5001u);
+  EXPECT_EQ(seen, payload);
+  EXPECT_EQ(children, 5000);
+  EXPECT_TRUE(sim.idle());
+}
+
+// Captures that own resources (here a shared_ptr) are moved, not copied,
+// through the slab and released exactly once — including handlers still
+// pending when the simulator is destroyed.
+TEST(Simulator, NonTrivialCapturesAreMovedAndReleased) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    for (int i = 0; i < 100; ++i)
+      sim.schedule(static_cast<SimTime>(i), [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 101);
+    EXPECT_EQ(sim.run(50), 50u);
+    EXPECT_EQ(*token, 50);
+    EXPECT_EQ(token.use_count(), 51);  // 50 still pending
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// >= 1e5 events, most scheduled from inside handlers with tie-heavy delays,
+// against the reference (time, insertion) order. About 250 are pending at
+// any time, so the slab recycles each slot hundreds of times over.
+TEST(Simulator, TimeThenInsertionOrderHoldsOverManyEventsWithSlotReuse) {
+  constexpr std::uint64_t kEvents = 150'000;
+  Simulator sim;
+  struct Scheduled {
+    SimTime when;
+    std::uint64_t id;  // schedule() call order == insertion order
+  };
+  std::vector<Scheduled> scheduled;
+  std::vector<std::uint64_t> executed;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  std::size_t max_pending = 0;
+  std::function<void(SimTime)> add = [&](SimTime delay) {
+    const std::uint64_t id = scheduled.size();
+    scheduled.push_back(Scheduled{sim.now() + delay, id});
+    sim.schedule(delay, [&, id] {
+      executed.push_back(id);
+      max_pending = std::max<std::size_t>(max_pending, sim.pending());
+      // Spawn 0-2 children, holding ~250 pending, until the budget is spent.
+      const std::size_t p = sim.pending();
+      const int kids = p < 200 ? 2 : p > 300 ? 0 : static_cast<int>(next() % 3);
+      for (int k = 0; k < kids && scheduled.size() < kEvents; ++k)
+        add((next() >> 8) % 4);  // delays 0..3: lots of same-time ties
+    });
+  };
+  for (int i = 0; i < 256; ++i) add(next() % 16);
+  sim.run();
+
+  ASSERT_GE(scheduled.size(), kEvents);
+  std::vector<Scheduled> ref = scheduled;
+  std::stable_sort(ref.begin(), ref.end(),
+                   [](const Scheduled& a, const Scheduled& b) {
+                     return a.when < b.when;
+                   });
+  ASSERT_EQ(executed.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_EQ(executed[i], ref[i].id) << "at position " << i;
+  EXPECT_LE(max_pending, 400u);
 }
 
 // --- helpers ---------------------------------------------------------------
@@ -191,6 +280,21 @@ TEST(Cache, LruPrefersColdestWay) {
   access(0x0000);  // A must still hit
   EXPECT_EQ(cache.stats().read_hits, 2u);
   EXPECT_EQ(cache.stats().fills, 3u);
+}
+
+// Set and tag extraction are shift/mask only: a geometry whose line size or
+// set count is not a power of two is rejected up front.
+TEST(Cache, RejectsNonPowerOfTwoGeometry) {
+  Simulator sim;
+  RecordingMemory mem(sim, 1 * kNanosecond);
+  CacheConfig sets = tiny_cache();
+  sets.size_bytes = 3 * 1024;  // 24 sets
+  EXPECT_THROW(Cache(sim, sets, &mem), std::invalid_argument);
+  CacheConfig line = tiny_cache();
+  line.line_bytes = 48;
+  line.size_bytes = 48 * 2 * 8;  // 8 sets of a 48 B line
+  EXPECT_THROW(Cache(sim, line, &mem), std::invalid_argument);
+  EXPECT_NO_THROW(Cache(sim, tiny_cache(), &mem));
 }
 
 // --- memories ----------------------------------------------------------------

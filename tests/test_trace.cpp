@@ -2,6 +2,10 @@
 // streams, coalescing, summaries, and Machine → TraceBuffer integration.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "scratchpad/machine.hpp"
 #include "trace/capture.hpp"
 
@@ -155,6 +159,36 @@ TEST(TraceBuffer, ClearResetsSummaryAndCoalescingState) {
   EXPECT_EQ(s.read_bytes, 64u);
   EXPECT_EQ(s.barriers, 0u);
   EXPECT_DOUBLE_EQ(s.compute_ops, 0.0);
+}
+
+// The TraceSink contract lets threads append concurrently under distinct
+// thread ids. Every worker hammers the summary at once (a start gate lines
+// them up) with ops that coalesce, so the streams stay one record long while
+// the summary takes millions of updates: a summary shared between threads
+// loses updates here on any multi-core host, with or without TSan.
+TEST(TraceBuffer, ConcurrentAppendersKeepExactSummary) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kOps = 1'000'000;
+  TraceBuffer tb(kThreads);
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([&tb, &arrived, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      const std::uint64_t base = (t + 1) << 40;
+      for (std::uint64_t i = 0; i < kOps; ++i) tb.on_read(t, base + i * 64, 64);
+      for (std::uint64_t i = 0; i < kOps; ++i) tb.on_compute(t, 1.0);
+    });
+  for (auto& w : workers) w.join();
+
+  const TraceSummary s = tb.summary();
+  EXPECT_EQ(s.reads, kThreads);
+  EXPECT_EQ(s.computes, kThreads);
+  EXPECT_EQ(s.read_bytes, kThreads * kOps * 64);
+  EXPECT_EQ(s.compute_ops, static_cast<double>(kThreads * kOps));
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_EQ(tb.stream(t).size(), 2u);
 }
 
 }  // namespace
