@@ -1,110 +1,36 @@
 #include "obs/run_report.hpp"
 
 #include <stdexcept>
-
-// tlm-lint: allow-file(counters-mutation): this is the JSON (de)serialization
-// boundary for PhaseStats — it reconstructs counters from reports, it does
-// not account traffic.
-// tlm-lint: allow-file(split-counters-mutation): same boundary; the split
-// twins round-trip from JSON here, they are not charged here.
+#include <type_traits>
 
 namespace tlm::obs {
 
 namespace {
 
+// Every numeric PhaseStats field, keyed by its field-table name. The
+// read/write split counters (ω model) are emitted unconditionally: report
+// diffs never count keys *added* relative to a baseline, and the diff layer
+// tolerates their absence in pre-split baselines (is_split_leaf).
 Json phase_to_json(const PhaseStats& p, bool with_name) {
   Json j = Json::object();
   if (with_name) j["name"] = p.name;
-  j["far_read_bytes"] = p.far_read_bytes;
-  j["far_write_bytes"] = p.far_write_bytes;
-  j["near_read_bytes"] = p.near_read_bytes;
-  j["near_write_bytes"] = p.near_write_bytes;
-  j["far_blocks"] = p.far_blocks;
-  j["near_blocks"] = p.near_blocks;
-  j["far_bursts"] = p.far_bursts;
-  j["near_bursts"] = p.near_bursts;
-  j["dma_far_bytes"] = p.dma_far_bytes;
-  j["dma_near_bytes"] = p.dma_near_bytes;
-  j["dma_far_bursts"] = p.dma_far_bursts;
-  j["dma_near_bursts"] = p.dma_near_bursts;
-  // Read/write split counters (ω model). Emitted unconditionally: report
-  // diffs never count keys *added* relative to a baseline, and the diff
-  // layer tolerates their absence in pre-split baselines (is_split_leaf).
-  j["far_read_blocks"] = p.far_read_blocks;
-  j["far_write_blocks"] = p.far_write_blocks;
-  j["near_read_blocks"] = p.near_read_blocks;
-  j["near_write_blocks"] = p.near_write_blocks;
-  j["far_read_bursts"] = p.far_read_bursts;
-  j["far_write_bursts"] = p.far_write_bursts;
-  j["near_read_bursts"] = p.near_read_bursts;
-  j["near_write_bursts"] = p.near_write_bursts;
-  j["dma_far_read_bytes"] = p.dma_far_read_bytes;
-  j["dma_far_write_bytes"] = p.dma_far_write_bytes;
-  j["dma_near_read_bytes"] = p.dma_near_read_bytes;
-  j["dma_near_write_bytes"] = p.dma_near_write_bytes;
-  j["dma_far_read_bursts"] = p.dma_far_read_bursts;
-  j["dma_far_write_bursts"] = p.dma_far_write_bursts;
-  j["dma_near_read_bursts"] = p.dma_near_read_bursts;
-  j["dma_near_write_bursts"] = p.dma_near_write_bursts;
-  j["partition_splits"] = p.partition_splits;
-  j["partition_imbalance_max"] = p.partition_imbalance_max;
-  j["compute_ops_total"] = p.compute_ops_total;
-  j["compute_ops_max"] = p.compute_ops_max;
-  j["far_s"] = p.far_s;
-  j["near_s"] = p.near_s;
-  j["compute_s"] = p.compute_s;
-  j["dma_s"] = p.dma_s;
+  for_each_phase_field([&](const auto& f) { j[f.name] = p.*f.member; });
   // Injected-fault stall time: only ever nonzero under fault injection, so
-  // it is emitted conditionally — clean reports stay byte-identical to
+  // it is omitted when zero — clean reports stay byte-identical to
   // baselines that predate the fault model.
-  if (p.stall_s != 0) j["stall_s"] = p.stall_s;
-  j["seconds"] = p.seconds;
-  j["host_seconds"] = p.host_seconds;
+  if (p.stall_s == 0) j.obj().erase("stall_s");
   return j;
 }
 
 PhaseStats phase_from_json(const Json& j) {
   PhaseStats p;
   p.name = j.get_str("name", "");
-  p.far_read_bytes = j.get_u64("far_read_bytes", 0);
-  p.far_write_bytes = j.get_u64("far_write_bytes", 0);
-  p.near_read_bytes = j.get_u64("near_read_bytes", 0);
-  p.near_write_bytes = j.get_u64("near_write_bytes", 0);
-  p.far_blocks = j.get_u64("far_blocks", 0);
-  p.near_blocks = j.get_u64("near_blocks", 0);
-  p.far_bursts = j.get_u64("far_bursts", 0);
-  p.near_bursts = j.get_u64("near_bursts", 0);
-  p.dma_far_bytes = j.get_u64("dma_far_bytes", 0);
-  p.dma_near_bytes = j.get_u64("dma_near_bytes", 0);
-  p.dma_far_bursts = j.get_u64("dma_far_bursts", 0);
-  p.dma_near_bursts = j.get_u64("dma_near_bursts", 0);
-  p.far_read_blocks = j.get_u64("far_read_blocks", 0);
-  p.far_write_blocks = j.get_u64("far_write_blocks", 0);
-  p.near_read_blocks = j.get_u64("near_read_blocks", 0);
-  p.near_write_blocks = j.get_u64("near_write_blocks", 0);
-  p.far_read_bursts = j.get_u64("far_read_bursts", 0);
-  p.far_write_bursts = j.get_u64("far_write_bursts", 0);
-  p.near_read_bursts = j.get_u64("near_read_bursts", 0);
-  p.near_write_bursts = j.get_u64("near_write_bursts", 0);
-  p.dma_far_read_bytes = j.get_u64("dma_far_read_bytes", 0);
-  p.dma_far_write_bytes = j.get_u64("dma_far_write_bytes", 0);
-  p.dma_near_read_bytes = j.get_u64("dma_near_read_bytes", 0);
-  p.dma_near_write_bytes = j.get_u64("dma_near_write_bytes", 0);
-  p.dma_far_read_bursts = j.get_u64("dma_far_read_bursts", 0);
-  p.dma_far_write_bursts = j.get_u64("dma_far_write_bursts", 0);
-  p.dma_near_read_bursts = j.get_u64("dma_near_read_bursts", 0);
-  p.dma_near_write_bursts = j.get_u64("dma_near_write_bursts", 0);
-  p.partition_splits = j.get_u64("partition_splits", 0);
-  p.partition_imbalance_max = j.get_f64("partition_imbalance_max", 0);
-  p.compute_ops_total = j.get_f64("compute_ops_total", 0);
-  p.compute_ops_max = j.get_f64("compute_ops_max", 0);
-  p.far_s = j.get_f64("far_s", 0);
-  p.near_s = j.get_f64("near_s", 0);
-  p.compute_s = j.get_f64("compute_s", 0);
-  p.dma_s = j.get_f64("dma_s", 0);
-  p.stall_s = j.get_f64("stall_s", 0);
-  p.seconds = j.get_f64("seconds", 0);
-  p.host_seconds = j.get_f64("host_seconds", 0);
+  for_each_phase_field([&](const auto& f) {
+    if constexpr (std::is_same_v<decltype(f), const PhaseField<double>&>)
+      p.*f.member = j.get_f64(f.name, 0);
+    else
+      p.*f.member = j.get_u64(f.name, 0);
+  });
   return p;
 }
 

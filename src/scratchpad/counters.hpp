@@ -1,13 +1,51 @@
 // Traffic and time accounting for the counting backend.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/math.hpp"
+#include "scratchpad/space.hpp"
 
 namespace tlm {
+
+// One cell of the traffic ledger: what one space saw in one direction from
+// one issuer (the cores, or the DMA engine via Machine::dma_copy).
+struct TrafficCell {
+  std::uint64_t bytes = 0;
+  std::uint64_t blocks = 0;  // §II block transfers, partial blocks round up
+  std::uint64_t bursts = 0;  // transfer calls, each paying one latency
+
+  TrafficCell& operator+=(const TrafficCell& o) {
+    bytes += o.bytes;
+    blocks += o.blocks;
+    bursts += o.bursts;
+    return *this;
+  }
+};
+
+// The Machine's only record of traffic, one per thread: a cell per
+// space × direction × issuer. Every traffic counter of PhaseStats is a sum
+// of some of these cells (kTrafficFields below), so a directional counter
+// and its combined counter cannot disagree — read + write == combined holds
+// by construction.
+struct TrafficLedger {
+  TrafficCell cells[2][2][2];  // [Space][is_write][via_dma]
+
+  TrafficCell& at(Space s, bool is_write, bool via_dma) {
+    return cells[static_cast<int>(s)][is_write][via_dma];
+  }
+
+  TrafficLedger& operator+=(const TrafficLedger& o) {
+    for (int s = 0; s < 2; ++s)
+      for (int w = 0; w < 2; ++w)
+        for (int d = 0; d < 2; ++d) cells[s][w][d] += o.cells[s][w][d];
+    return *this;
+  }
+};
 
 // One phase of an algorithm (e.g. "phase1.sort_chunks"). Byte counts are
 // aggregated over all threads; `compute_ops_max` is the per-thread maximum
@@ -43,11 +81,8 @@ struct PhaseStats {
 
   // Read/write split of the block, burst, and DMA counters above, for the
   // asymmetric-ω cost model (bytes were already split as *_read_bytes /
-  // *_write_bytes). The combined counters stay and are maintained
-  // independently at the charge sites, so conservation —
-  // split_read + split_write == combined, for every pair — is a falsifiable
-  // invariant checked by the test suite and the model sanitizer rather than
-  // true by construction.
+  // *_write_bytes). Like every traffic counter they are derived from the
+  // TrafficLedger cells when a phase is folded, never charged on their own.
   std::uint64_t far_read_blocks = 0;
   std::uint64_t far_write_blocks = 0;
   std::uint64_t near_read_blocks = 0;
@@ -95,110 +130,152 @@ struct PhaseStats {
   }
   std::uint64_t dma_bytes() const { return dma_far_bytes + dma_near_bytes; }
 
-  PhaseStats& operator+=(const PhaseStats& o) {
-    far_read_bytes += o.far_read_bytes;
-    far_write_bytes += o.far_write_bytes;
-    near_read_bytes += o.near_read_bytes;
-    near_write_bytes += o.near_write_bytes;
-    far_blocks += o.far_blocks;
-    near_blocks += o.near_blocks;
-    far_bursts += o.far_bursts;
-    near_bursts += o.near_bursts;
-    dma_far_bytes += o.dma_far_bytes;
-    dma_near_bytes += o.dma_near_bytes;
-    dma_far_bursts += o.dma_far_bursts;
-    dma_near_bursts += o.dma_near_bursts;
-    far_read_blocks += o.far_read_blocks;
-    far_write_blocks += o.far_write_blocks;
-    near_read_blocks += o.near_read_blocks;
-    near_write_blocks += o.near_write_blocks;
-    far_read_bursts += o.far_read_bursts;
-    far_write_bursts += o.far_write_bursts;
-    near_read_bursts += o.near_read_bursts;
-    near_write_bursts += o.near_write_bursts;
-    dma_far_read_bytes += o.dma_far_read_bytes;
-    dma_far_write_bytes += o.dma_far_write_bytes;
-    dma_near_read_bytes += o.dma_near_read_bytes;
-    dma_near_write_bytes += o.dma_near_write_bytes;
-    dma_far_read_bursts += o.dma_far_read_bursts;
-    dma_far_write_bursts += o.dma_far_write_bursts;
-    dma_near_read_bursts += o.dma_near_read_bursts;
-    dma_near_write_bursts += o.dma_near_write_bursts;
-    partition_splits += o.partition_splits;
-    partition_imbalance_max =
-        partition_imbalance_max > o.partition_imbalance_max
-            ? partition_imbalance_max
-            : o.partition_imbalance_max;
-    compute_ops_total += o.compute_ops_total;
-    compute_ops_max += o.compute_ops_max;
-    far_s += o.far_s;
-    near_s += o.near_s;
-    compute_s += o.compute_s;
-    dma_s += o.dma_s;
-    stall_s += o.stall_s;
-    seconds += o.seconds;
-    host_seconds += o.host_seconds;
-    return *this;
+  // Whether anything was charged: phases with no traffic and no compute
+  // (e.g. the implicit "(run)" phase of callers who structure everything
+  // explicitly) are not recorded.
+  bool has_activity() const {
+    return far_bytes() || near_bytes() || compute_ops_total > 0;
+  }
+
+  PhaseStats& operator+=(const PhaseStats& o);
+};
+
+// ---- the PhaseStats field table -------------------------------------------
+// Every numeric field of PhaseStats, by name (also its run-report JSON key)
+// and member. The per-field operations — +=, phase_delta, the run-report
+// JSON round trip, the job server's attribution check — all loop over these
+// tables instead of listing fields by hand.
+template <typename T>
+struct PhaseField {
+  const char* name;
+  T PhaseStats::*member;
+  // Combines as a running maximum rather than a sum (and so has no delta).
+  bool running_max = false;
+};
+
+// The ledger cells a traffic field sums: one space, the directions in the
+// `dirs` mask (bit 0 reads, bit 1 writes), the issuers in the `issuers` mask
+// (bit 0 the cores, bit 1 the DMA engine), and one cell quantity.
+struct CellSet {
+  static constexpr unsigned kRead = 1, kWrite = 2, kReadWrite = 3;
+  static constexpr unsigned kDma = 2, kAnyIssuer = 3;
+
+  Space space;
+  unsigned dirs;
+  unsigned issuers;
+  std::uint64_t TrafficCell::*quantity;
+
+  std::uint64_t sum(const TrafficLedger& l) const {
+    std::uint64_t v = 0;
+    for (unsigned w = 0; w < 2; ++w)
+      for (unsigned d = 0; d < 2; ++d)
+        if (((dirs >> w) & 1u) && ((issuers >> d) & 1u))
+          v += l.cells[static_cast<int>(space)][w][d].*quantity;
+    return v;
   }
 };
+
+// A traffic counter and the cells it is derived from. Machine's phase fold
+// is the only place that writes these fields.
+struct TrafficField {
+  PhaseField<std::uint64_t> field;
+  CellSet cells;
+};
+
+#define TLM_TRAFFIC(f, space, dirs, issuers, qty)               \
+  TrafficField{{#f, &PhaseStats::f},                           \
+               {Space::space, CellSet::dirs, CellSet::issuers, \
+                &TrafficCell::qty}}
+inline constexpr TrafficField kTrafficFields[] = {
+    TLM_TRAFFIC(far_read_bytes, Far, kRead, kAnyIssuer, bytes),
+    TLM_TRAFFIC(far_write_bytes, Far, kWrite, kAnyIssuer, bytes),
+    TLM_TRAFFIC(near_read_bytes, Near, kRead, kAnyIssuer, bytes),
+    TLM_TRAFFIC(near_write_bytes, Near, kWrite, kAnyIssuer, bytes),
+    TLM_TRAFFIC(far_blocks, Far, kReadWrite, kAnyIssuer, blocks),
+    TLM_TRAFFIC(near_blocks, Near, kReadWrite, kAnyIssuer, blocks),
+    TLM_TRAFFIC(far_bursts, Far, kReadWrite, kAnyIssuer, bursts),
+    TLM_TRAFFIC(near_bursts, Near, kReadWrite, kAnyIssuer, bursts),
+    TLM_TRAFFIC(dma_far_bytes, Far, kReadWrite, kDma, bytes),
+    TLM_TRAFFIC(dma_near_bytes, Near, kReadWrite, kDma, bytes),
+    TLM_TRAFFIC(dma_far_bursts, Far, kReadWrite, kDma, bursts),
+    TLM_TRAFFIC(dma_near_bursts, Near, kReadWrite, kDma, bursts),
+    TLM_TRAFFIC(far_read_blocks, Far, kRead, kAnyIssuer, blocks),
+    TLM_TRAFFIC(far_write_blocks, Far, kWrite, kAnyIssuer, blocks),
+    TLM_TRAFFIC(near_read_blocks, Near, kRead, kAnyIssuer, blocks),
+    TLM_TRAFFIC(near_write_blocks, Near, kWrite, kAnyIssuer, blocks),
+    TLM_TRAFFIC(far_read_bursts, Far, kRead, kAnyIssuer, bursts),
+    TLM_TRAFFIC(far_write_bursts, Far, kWrite, kAnyIssuer, bursts),
+    TLM_TRAFFIC(near_read_bursts, Near, kRead, kAnyIssuer, bursts),
+    TLM_TRAFFIC(near_write_bursts, Near, kWrite, kAnyIssuer, bursts),
+    TLM_TRAFFIC(dma_far_read_bytes, Far, kRead, kDma, bytes),
+    TLM_TRAFFIC(dma_far_write_bytes, Far, kWrite, kDma, bytes),
+    TLM_TRAFFIC(dma_near_read_bytes, Near, kRead, kDma, bytes),
+    TLM_TRAFFIC(dma_near_write_bytes, Near, kWrite, kDma, bytes),
+    TLM_TRAFFIC(dma_far_read_bursts, Far, kRead, kDma, bursts),
+    TLM_TRAFFIC(dma_far_write_bursts, Far, kWrite, kDma, bursts),
+    TLM_TRAFFIC(dma_near_read_bursts, Near, kRead, kDma, bursts),
+    TLM_TRAFFIC(dma_near_write_bursts, Near, kWrite, kDma, bursts),
+};
+#undef TLM_TRAFFIC
+
+#define TLM_FIELD(f) {#f, &PhaseStats::f}
+inline constexpr PhaseField<std::uint64_t> kCountFields[] = {
+    TLM_FIELD(partition_splits),
+};
+inline constexpr PhaseField<double> kRealFields[] = {
+    {"partition_imbalance_max", &PhaseStats::partition_imbalance_max,
+     /*running_max=*/true},
+    TLM_FIELD(compute_ops_total),
+    TLM_FIELD(compute_ops_max),
+    TLM_FIELD(far_s),
+    TLM_FIELD(near_s),
+    TLM_FIELD(compute_s),
+    TLM_FIELD(dma_s),
+    TLM_FIELD(stall_s),
+    TLM_FIELD(seconds),
+    TLM_FIELD(host_seconds),
+};
+#undef TLM_FIELD
+
+// A field added to PhaseStats without a table entry fails here.
+static_assert(sizeof(PhaseStats) ==
+                  sizeof(std::string) +
+                      sizeof(std::uint64_t) * std::size(kTrafficFields) +
+                      sizeof(std::uint64_t) * std::size(kCountFields) +
+                      sizeof(double) * std::size(kRealFields),
+              "every PhaseStats field needs an entry in the field tables");
+
+// Calls f(field) for every PhaseField of the three tables.
+template <typename F>
+constexpr void for_each_phase_field(F&& f) {
+  for (const TrafficField& t : kTrafficFields) f(t.field);
+  for (const auto& c : kCountFields) f(c);
+  for (const auto& r : kRealFields) f(r);
+}
+
+inline PhaseStats& PhaseStats::operator+=(const PhaseStats& o) {
+  for_each_phase_field([&](const auto& f) {
+    auto& v = this->*f.member;
+    v = f.running_max ? std::max(v, o.*f.member) : v + o.*f.member;
+  });
+  return *this;
+}
 
 // Counter-wise difference of two cumulative PhaseStats snapshots, for
 // attributing machine-lifetime totals to a window of work (the job server
 // brackets each scheduled tenant phase with Machine::totals() snapshots and
 // charges the delta to that tenant). All summed counters subtract; the
-// max-tracked fields (partition_imbalance_max) take the `after` value since
+// running-max fields (partition_imbalance_max) take the `after` value since
 // a maximum has no meaningful difference. Callers must pass snapshots of the
 // same monotone series (`after` taken later than `before`).
 inline PhaseStats phase_delta(const PhaseStats& after,
                               const PhaseStats& before) {
   PhaseStats d;
   d.name = after.name;
-  d.far_read_bytes = after.far_read_bytes - before.far_read_bytes;
-  d.far_write_bytes = after.far_write_bytes - before.far_write_bytes;
-  d.near_read_bytes = after.near_read_bytes - before.near_read_bytes;
-  d.near_write_bytes = after.near_write_bytes - before.near_write_bytes;
-  d.far_blocks = after.far_blocks - before.far_blocks;
-  d.near_blocks = after.near_blocks - before.near_blocks;
-  d.far_bursts = after.far_bursts - before.far_bursts;
-  d.near_bursts = after.near_bursts - before.near_bursts;
-  d.dma_far_bytes = after.dma_far_bytes - before.dma_far_bytes;
-  d.dma_near_bytes = after.dma_near_bytes - before.dma_near_bytes;
-  d.dma_far_bursts = after.dma_far_bursts - before.dma_far_bursts;
-  d.dma_near_bursts = after.dma_near_bursts - before.dma_near_bursts;
-  d.far_read_blocks = after.far_read_blocks - before.far_read_blocks;
-  d.far_write_blocks = after.far_write_blocks - before.far_write_blocks;
-  d.near_read_blocks = after.near_read_blocks - before.near_read_blocks;
-  d.near_write_blocks = after.near_write_blocks - before.near_write_blocks;
-  d.far_read_bursts = after.far_read_bursts - before.far_read_bursts;
-  d.far_write_bursts = after.far_write_bursts - before.far_write_bursts;
-  d.near_read_bursts = after.near_read_bursts - before.near_read_bursts;
-  d.near_write_bursts = after.near_write_bursts - before.near_write_bursts;
-  d.dma_far_read_bytes = after.dma_far_read_bytes - before.dma_far_read_bytes;
-  d.dma_far_write_bytes =
-      after.dma_far_write_bytes - before.dma_far_write_bytes;
-  d.dma_near_read_bytes =
-      after.dma_near_read_bytes - before.dma_near_read_bytes;
-  d.dma_near_write_bytes =
-      after.dma_near_write_bytes - before.dma_near_write_bytes;
-  d.dma_far_read_bursts =
-      after.dma_far_read_bursts - before.dma_far_read_bursts;
-  d.dma_far_write_bursts =
-      after.dma_far_write_bursts - before.dma_far_write_bursts;
-  d.dma_near_read_bursts =
-      after.dma_near_read_bursts - before.dma_near_read_bursts;
-  d.dma_near_write_bursts =
-      after.dma_near_write_bursts - before.dma_near_write_bursts;
-  d.partition_splits = after.partition_splits - before.partition_splits;
-  d.partition_imbalance_max = after.partition_imbalance_max;
-  d.compute_ops_total = after.compute_ops_total - before.compute_ops_total;
-  d.compute_ops_max = after.compute_ops_max - before.compute_ops_max;
-  d.far_s = after.far_s - before.far_s;
-  d.near_s = after.near_s - before.near_s;
-  d.compute_s = after.compute_s - before.compute_s;
-  d.dma_s = after.dma_s - before.dma_s;
-  d.stall_s = after.stall_s - before.stall_s;
-  d.seconds = after.seconds - before.seconds;
-  d.host_seconds = after.host_seconds - before.host_seconds;
+  for_each_phase_field([&](const auto& f) {
+    d.*f.member =
+        f.running_max ? after.*f.member : after.*f.member - before.*f.member;
+  });
   return d;
 }
 

@@ -122,9 +122,7 @@ void Machine::poll_cancel() {
   }
   const double budget = t->model_budget_s();
   if (budget > 0) {
-    PhaseStats open;
-    fold_open_phase(open);
-    if (open.seconds > budget) {
+    if (fold_open_phase().seconds > budget) {
       t->request(CancelReason::kDeadline);
       throw CancelledError(t->requested());
     }
@@ -213,80 +211,34 @@ std::uint64_t Machine::vaddr_of(const void* p) const {
   return it->second.vbase + static_cast<std::uint64_t>(b - it->first);
 }
 
-void Machine::charge_read(std::size_t thread, const void* p,
-                          std::uint64_t bytes,
-                          const std::source_location& loc, bool via_dma) {
+void Machine::charge(std::size_t thread, const void* p, std::uint64_t bytes,
+                     bool is_write, const std::source_location& loc,
+                     bool via_dma) {
   TLM_CHECK(thread < acc_.size(), "thread id out of range");
 #if TLM_MODEL_CHECKS_ENABLED
-  check_charge(p, bytes, /*is_write=*/false, loc);
+  check_charge(p, bytes, is_write, loc);
 #else
   (void)loc;
 #endif
-  auto& a = acc_[thread];
-  if (space_of(p) == Space::Near) {
-    a.near_read += bytes;
-    a.near_blocks += ceil_div(bytes, cfg_.near_block_bytes());
-    a.near_bursts += 1;
-    a.near_read_blocks += ceil_div(bytes, cfg_.near_block_bytes());
-    a.near_read_bursts += 1;
-    if (via_dma) {
-      a.dma_near += bytes;
-      a.dma_near_bursts += 1;
-      a.dma_near_read += bytes;
-      a.dma_near_read_bursts += 1;
-    }
-  } else {
-    a.far_read += bytes;
-    a.far_blocks += ceil_div(bytes, cfg_.block_bytes);
-    a.far_bursts += 1;
-    a.far_read_blocks += ceil_div(bytes, cfg_.block_bytes);
-    a.far_read_bursts += 1;
-    if (via_dma) {
-      a.dma_far += bytes;
-      a.dma_far_bursts += 1;
-      a.dma_far_read += bytes;
-      a.dma_far_read_bursts += 1;
-    }
-    if (fi_) consult_far_stall(thread);
-  }
+  const Space s = space_of(p);
+  TrafficCell& c = acc_[thread].traffic.at(s, is_write, via_dma);
+  c.bytes += bytes;
+  c.blocks += ceil_div(
+      bytes, s == Space::Near ? cfg_.near_block_bytes() : cfg_.block_bytes);
+  c.bursts += 1;
+  if (s == Space::Far && fi_) consult_far_stall(thread);
+}
+
+void Machine::charge_read(std::size_t thread, const void* p,
+                          std::uint64_t bytes,
+                          const std::source_location& loc, bool via_dma) {
+  charge(thread, p, bytes, /*is_write=*/false, loc, via_dma);
   if (sink_ && !via_dma) sink_->on_read(thread, vaddr_of(p), bytes);
 }
 
 void Machine::charge_write(std::size_t thread, void* p, std::uint64_t bytes,
                            const std::source_location& loc, bool via_dma) {
-  TLM_CHECK(thread < acc_.size(), "thread id out of range");
-#if TLM_MODEL_CHECKS_ENABLED
-  check_charge(p, bytes, /*is_write=*/true, loc);
-#else
-  (void)loc;
-#endif
-  auto& a = acc_[thread];
-  if (space_of(p) == Space::Near) {
-    a.near_write += bytes;
-    a.near_blocks += ceil_div(bytes, cfg_.near_block_bytes());
-    a.near_bursts += 1;
-    a.near_write_blocks += ceil_div(bytes, cfg_.near_block_bytes());
-    a.near_write_bursts += 1;
-    if (via_dma) {
-      a.dma_near += bytes;
-      a.dma_near_bursts += 1;
-      a.dma_near_write += bytes;
-      a.dma_near_write_bursts += 1;
-    }
-  } else {
-    a.far_write += bytes;
-    a.far_blocks += ceil_div(bytes, cfg_.block_bytes);
-    a.far_bursts += 1;
-    a.far_write_blocks += ceil_div(bytes, cfg_.block_bytes);
-    a.far_write_bursts += 1;
-    if (via_dma) {
-      a.dma_far += bytes;
-      a.dma_far_bursts += 1;
-      a.dma_far_write += bytes;
-      a.dma_far_write_bursts += 1;
-    }
-    if (fi_) consult_far_stall(thread);
-  }
+  charge(thread, p, bytes, /*is_write=*/true, loc, via_dma);
   if (sink_ && !via_dma) sink_->on_write(thread, vaddr_of(p), bytes);
 }
 
@@ -461,15 +413,12 @@ void Machine::end_phase() {
 #if TLM_MODEL_CHECKS_ENABLED
   check_phase_end();
 #endif
-  PhaseStats phase;
+  PhaseStats phase = fold_open_phase();
   phase.name = *open_phase_;
-  fold_open_phase(phase);
   phase.host_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - phase_start_)
                            .count();
-  // Skip phases in which nothing happened (e.g. the implicit "(run)" phase
-  // of callers who structure everything explicitly).
-  if (phase.far_bytes() || phase.near_bytes() || phase.compute_ops_total > 0) {
+  if (phase.has_activity()) {
     stats_.total += phase;
     stats_.phases.push_back(std::move(phase));
   }
@@ -499,17 +448,6 @@ void Machine::check_capacity(std::uint64_t bytes,
 
 void Machine::check_charge(const void* p, std::uint64_t bytes, bool is_write,
                            const std::source_location& loc) const {
-  // Directional shadow bookkeeping for rw-conservation: every charge is
-  // recorded here, before (and independently of) the ThreadAcc bumps, so a
-  // charge site that mutates the legacy counters without the split twins
-  // diverges from the shadow by phase end.
-  if (arena_.contains(p)) {
-    (is_write ? shadow_near_write_bytes_ : shadow_near_read_bytes_)
-        .fetch_add(bytes, std::memory_order_relaxed);
-  } else {
-    (is_write ? shadow_far_write_bytes_ : shadow_far_read_bytes_)
-        .fetch_add(bytes, std::memory_order_relaxed);
-  }
   // Line-rounded probes (galloping merge lookahead, sweep reads) may run a
   // ragged tail past the end of a region; the model charges whole blocks
   // for those anyway, so tolerate up to one far line of overshoot.
@@ -595,74 +533,7 @@ void Machine::check_dma_granularity(const void* dst, const void* src,
       loc);
 }
 
-// Conservation of the read/write split at phase end: for every combined
-// counter the split pair must sum back to it, and the byte totals must match
-// the directional shadow recorded at the charge entry points. Runs for
-// implicit phases too — the invariant has no phase-structure exemption.
-void Machine::check_rw_conservation() const {
-  PhaseStats f;
-  fold_open_phase(f);
-  const auto bad = [&](const char* what, std::uint64_t split_sum,
-                       std::uint64_t combined) {
-    model_check_fail(model_rule::kRwConservation, open_phase_name(),
-                     std::string(what) + ": charged reads + writes = " +
-                         std::to_string(split_sum) +
-                         " but the combined counter holds " +
-                         std::to_string(combined) +
-                         " — a charge site bypassed the split bookkeeping",
-                     std::source_location::current());
-  };
-  if (f.far_read_blocks + f.far_write_blocks != f.far_blocks)
-    bad("far_blocks", f.far_read_blocks + f.far_write_blocks, f.far_blocks);
-  if (f.near_read_blocks + f.near_write_blocks != f.near_blocks)
-    bad("near_blocks", f.near_read_blocks + f.near_write_blocks,
-        f.near_blocks);
-  if (f.far_read_bursts + f.far_write_bursts != f.far_bursts)
-    bad("far_bursts", f.far_read_bursts + f.far_write_bursts, f.far_bursts);
-  if (f.near_read_bursts + f.near_write_bursts != f.near_bursts)
-    bad("near_bursts", f.near_read_bursts + f.near_write_bursts,
-        f.near_bursts);
-  if (f.dma_far_read_bytes + f.dma_far_write_bytes != f.dma_far_bytes)
-    bad("dma_far_bytes", f.dma_far_read_bytes + f.dma_far_write_bytes,
-        f.dma_far_bytes);
-  if (f.dma_near_read_bytes + f.dma_near_write_bytes != f.dma_near_bytes)
-    bad("dma_near_bytes", f.dma_near_read_bytes + f.dma_near_write_bytes,
-        f.dma_near_bytes);
-  if (f.dma_far_read_bursts + f.dma_far_write_bursts != f.dma_far_bursts)
-    bad("dma_far_bursts", f.dma_far_read_bursts + f.dma_far_write_bursts,
-        f.dma_far_bursts);
-  if (f.dma_near_read_bursts + f.dma_near_write_bursts != f.dma_near_bursts)
-    bad("dma_near_bursts", f.dma_near_read_bursts + f.dma_near_write_bursts,
-        f.dma_near_bursts);
-  const auto shadow_bad = [&](const char* what, std::uint64_t shadow,
-                              std::uint64_t counter) {
-    model_check_fail(
-        model_rule::kRwConservation, open_phase_name(),
-        std::string(what) + ": the charge entry points saw " +
-            std::to_string(shadow) + " bytes but the counter holds " +
-            std::to_string(counter) + " — a counter was mutated directly",
-        std::source_location::current());
-  };
-  const std::uint64_t sfr =
-      shadow_far_read_bytes_.load(std::memory_order_relaxed);
-  const std::uint64_t sfw =
-      shadow_far_write_bytes_.load(std::memory_order_relaxed);
-  const std::uint64_t snr =
-      shadow_near_read_bytes_.load(std::memory_order_relaxed);
-  const std::uint64_t snw =
-      shadow_near_write_bytes_.load(std::memory_order_relaxed);
-  if (sfr != f.far_read_bytes)
-    shadow_bad("far_read_bytes", sfr, f.far_read_bytes);
-  if (sfw != f.far_write_bytes)
-    shadow_bad("far_write_bytes", sfw, f.far_write_bytes);
-  if (snr != f.near_read_bytes)
-    shadow_bad("near_read_bytes", snr, f.near_read_bytes);
-  if (snw != f.near_write_bytes)
-    shadow_bad("near_write_bytes", snw, f.near_write_bytes);
-}
-
 void Machine::check_phase_end() const {
-  check_rw_conservation();
   MutexLock lock(alloc_mu_);
   if (!phase_is_explicit_) return;  // implicit "(run)" phases are exempt
   for (const auto& [off, a] : shadow_near_) {
@@ -687,36 +558,11 @@ void Machine::advance_phase_epoch(bool next_is_explicit) {
 
 #endif  // TLM_MODEL_CHECKS_ENABLED
 
-void Machine::fold_open_phase(PhaseStats& out) const {
+PhaseStats Machine::fold_open_phase() const {
+  PhaseStats out;
+  TrafficLedger traffic;
   for (const auto& a : acc_) {
-    out.far_read_bytes += a.far_read;
-    out.far_write_bytes += a.far_write;
-    out.near_read_bytes += a.near_read;
-    out.near_write_bytes += a.near_write;
-    out.far_blocks += a.far_blocks;
-    out.near_blocks += a.near_blocks;
-    out.far_bursts += a.far_bursts;
-    out.near_bursts += a.near_bursts;
-    out.dma_far_bytes += a.dma_far;
-    out.dma_near_bytes += a.dma_near;
-    out.dma_far_bursts += a.dma_far_bursts;
-    out.dma_near_bursts += a.dma_near_bursts;
-    out.far_read_blocks += a.far_read_blocks;
-    out.far_write_blocks += a.far_write_blocks;
-    out.near_read_blocks += a.near_read_blocks;
-    out.near_write_blocks += a.near_write_blocks;
-    out.far_read_bursts += a.far_read_bursts;
-    out.far_write_bursts += a.far_write_bursts;
-    out.near_read_bursts += a.near_read_bursts;
-    out.near_write_bursts += a.near_write_bursts;
-    out.dma_far_read_bytes += a.dma_far_read;
-    out.dma_far_write_bytes += a.dma_far_write;
-    out.dma_near_read_bytes += a.dma_near_read;
-    out.dma_near_write_bytes += a.dma_near_write;
-    out.dma_far_read_bursts += a.dma_far_read_bursts;
-    out.dma_far_write_bursts += a.dma_far_write_bursts;
-    out.dma_near_read_bursts += a.dma_near_read_bursts;
-    out.dma_near_write_bursts += a.dma_near_write_bursts;
+    traffic += a.traffic;
     out.partition_splits += a.partition_splits;
     out.partition_imbalance_max =
         std::max(out.partition_imbalance_max, a.partition_imbalance);
@@ -724,6 +570,8 @@ void Machine::fold_open_phase(PhaseStats& out) const {
     out.compute_ops_max = std::max(out.compute_ops_max, a.ops);
     out.stall_s = std::max(out.stall_s, a.stall);
   }
+  for (const TrafficField& t : kTrafficFields)
+    out.*t.field.member = t.cells.sum(traffic);
   // Per-burst access latencies amortize across the p cores issuing them.
   const double p = static_cast<double>(cfg_.threads);
   const double omega = cfg_.far_write_cost;
@@ -782,29 +630,22 @@ void Machine::fold_open_phase(PhaseStats& out) const {
   } else {
     out.seconds = out.far_s + out.near_s + out.compute_s + out.stall_s;
   }
+  return out;
 }
 
 void Machine::reset_accumulators() {
   std::fill(acc_.begin(), acc_.end(), ThreadAcc{});
-#if TLM_MODEL_CHECKS_ENABLED
-  shadow_far_read_bytes_.store(0, std::memory_order_relaxed);
-  shadow_far_write_bytes_.store(0, std::memory_order_relaxed);
-  shadow_near_read_bytes_.store(0, std::memory_order_relaxed);
-  shadow_near_write_bytes_.store(0, std::memory_order_relaxed);
-#endif
 }
 
 MachineStats Machine::stats() const {
   MachineStats out = stats_;
   if (open_phase_) {
-    PhaseStats phase;
+    PhaseStats phase = fold_open_phase();
     phase.name = *open_phase_ + " (open)";
-    fold_open_phase(phase);
     phase.host_seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - phase_start_)
                              .count();
-    if (phase.far_bytes() || phase.near_bytes() ||
-        phase.compute_ops_total > 0) {
+    if (phase.has_activity()) {
       out.total += phase;
       out.phases.push_back(std::move(phase));
     }
@@ -815,14 +656,12 @@ MachineStats Machine::stats() const {
 PhaseStats Machine::totals() const {
   PhaseStats out = stats_.total;
   if (open_phase_) {
-    PhaseStats open;
-    fold_open_phase(open);
-    if (open.far_bytes() || open.near_bytes() || open.compute_ops_total > 0)
-      out += open;
+    const PhaseStats open = fold_open_phase();
+    if (open.has_activity()) out += open;
   }
   return out;
 }
 
-double Machine::elapsed_seconds() const { return stats().total.seconds; }
+double Machine::elapsed_seconds() const { return totals().seconds; }
 
 }  // namespace tlm

@@ -16,9 +16,11 @@
 //   model.space_attribution traffic lands on the space it claims: near
 //                           charges hit one live scratchpad allocation,
 //                           far charges never overlap the scratchpad
-//   model.rw_conservation   the read/write split counters conserve the
-//                           legacy combined totals (reads + writes == all
-//                           accesses, per space, at every phase end)
+//
+// Read/write conservation (reads + writes == all accesses, per space) needs
+// no rule: every traffic counter is derived from one per-thread ledger of
+// space x direction x issuer cells (TrafficLedger, scratchpad/counters.hpp),
+// so the directional and combined counters cannot disagree.
 //
 // A violation prints the rule, the open phase, and the charging call site,
 // then aborts — the tests pin these down as gtest death tests.
@@ -45,11 +47,6 @@ inline constexpr const char* kCapacity = "model.capacity";
 inline constexpr const char* kPhaseLeak = "model.phase_leak";
 inline constexpr const char* kLineGranularity = "model.line_granularity";
 inline constexpr const char* kSpaceAttribution = "model.space_attribution";
-// Read/write-split conservation: for each space, the shadow byte totals of
-// charged reads plus charged writes must equal the legacy combined counters
-// at every phase end — a bypassed split counter (e.g. a write charged on
-// the combined field only) trips this.
-inline constexpr const char* kRwConservation = "model.rw_conservation";
 // Multi-tenant rules (src/server): a tenant's quota-charged near bytes must
 // all be released by the time its job completes...
 inline constexpr const char* kTenantLeak = "model.tenant_leak";

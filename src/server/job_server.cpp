@@ -533,35 +533,18 @@ void JobServer::check_attribution_locked() {
   PhaseStats sum = untenanted_;
   for (const auto& t : tenants_) sum += t->attributed;
   sum += phase_delta(grand, last_snapshot_);
-  const auto bad = [](const char* what, std::uint64_t attributed,
-                      std::uint64_t total) {
+  for (const TrafficField& t : kTrafficFields) {
+    const std::uint64_t attributed = sum.*t.field.member;
+    const std::uint64_t total = grand.*t.field.member;
+    if (attributed == total) continue;
     model_check_fail(model_rule::kTenantAttribution, "(drain)",
-                     std::string(what) + ": tenant attribution sums to " +
+                     std::string(t.field.name) +
+                         ": tenant attribution sums to " +
                          std::to_string(attributed) +
                          " but the machine counted " + std::to_string(total) +
                          " — a scheduled phase escaped its snapshots",
                      std::source_location::current());
-  };
-  if (sum.far_read_bytes != grand.far_read_bytes)
-    bad("far_read_bytes", sum.far_read_bytes, grand.far_read_bytes);
-  if (sum.far_write_bytes != grand.far_write_bytes)
-    bad("far_write_bytes", sum.far_write_bytes, grand.far_write_bytes);
-  if (sum.near_read_bytes != grand.near_read_bytes)
-    bad("near_read_bytes", sum.near_read_bytes, grand.near_read_bytes);
-  if (sum.near_write_bytes != grand.near_write_bytes)
-    bad("near_write_bytes", sum.near_write_bytes, grand.near_write_bytes);
-  if (sum.far_blocks != grand.far_blocks)
-    bad("far_blocks", sum.far_blocks, grand.far_blocks);
-  if (sum.near_blocks != grand.near_blocks)
-    bad("near_blocks", sum.near_blocks, grand.near_blocks);
-  if (sum.far_bursts != grand.far_bursts)
-    bad("far_bursts", sum.far_bursts, grand.far_bursts);
-  if (sum.near_bursts != grand.near_bursts)
-    bad("near_bursts", sum.near_bursts, grand.near_bursts);
-  if (sum.dma_far_bytes != grand.dma_far_bytes)
-    bad("dma_far_bytes", sum.dma_far_bytes, grand.dma_far_bytes);
-  if (sum.dma_near_bytes != grand.dma_near_bytes)
-    bad("dma_near_bytes", sum.dma_near_bytes, grand.dma_near_bytes);
+  }
 #endif
 }
 

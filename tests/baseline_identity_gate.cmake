@@ -1,7 +1,8 @@
 # A report-identity gate, run as a ctest via `cmake -P` (see
-# bench/CMakeLists.txt for the registrations): table1_sst_sort at a checked-in
-# baseline's exact parameters has to reproduce every cost leaf of that
-# baseline under report_diff --max-changed=0. Two gates use it:
+# bench/CMakeLists.txt for the registrations): a bench binary run at a
+# checked-in baseline's exact parameters has to exit 0 (a bench's own shape
+# gates stay in force) and reproduce every cost leaf of that baseline under
+# report_diff --max-changed=0. Four gates use it:
 #
 #   omega_noop_gate          The asymmetric write-cost extension must be
 #                            invisible at its default ω = 1 against
@@ -15,13 +16,19 @@
 #                            move a single simulated statistic against
 #                            bench/baselines/table1_sim_quick.json (a
 #                            cycle-sim + counting run at 4 cores).
+#   sweep_omega_gate         The ω-weighted fold (ω = 4, 16) against
+#                            bench/baselines/sweep_omega_quick.json, on top
+#                            of sweep_omega's own crossover exit code.
+#   kmeans_identity_gate     The DMA ledger cells, through the staged
+#                            k-means pipeline, against
+#                            bench/baselines/kmeans_quick.json.
 #
-# Expects -DGATE=<name> -DTABLE1=<bin> -DTABLE1_ARGS="<args>"
+# Expects -DGATE=<name> -DBIN=<bench binary> -DARGS="<args>"
 #         -DREPORT_DIFF=<bin> -DBASELINE=<json> -DWORK_DIR=<dir>.
-# TABLE1_ARGS is one space-separated string; --json is appended here.
+# ARGS is one space-separated string; --json is appended here.
 cmake_minimum_required(VERSION 3.16)
 
-foreach(var GATE TABLE1 TABLE1_ARGS REPORT_DIFF BASELINE WORK_DIR)
+foreach(var GATE BIN ARGS REPORT_DIFF BASELINE WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "baseline_identity_gate: -D${var}=... is required")
   endif()
@@ -30,16 +37,17 @@ endforeach()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-separate_arguments(args UNIX_COMMAND "${TABLE1_ARGS}")
+get_filename_component(bin_name "${BIN}" NAME)
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(
-  COMMAND "${TABLE1}" ${args} --json "${WORK_DIR}/current.json"
+  COMMAND "${BIN}" ${args} --json "${WORK_DIR}/current.json"
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
-    "${GATE}: table1_sst_sort ${TABLE1_ARGS} failed (exit ${rc})\n"
+    "${GATE}: ${bin_name} ${ARGS} failed (exit ${rc})\n"
     "stdout:\n${out}\nstderr:\n${err}")
 endif()
 
@@ -55,4 +63,4 @@ if(NOT rc EQUAL 0)
     "stdout:\n${out}\nstderr:\n${err}")
 endif()
 
-message(STATUS "${GATE}: table1_sst_sort ${TABLE1_ARGS} reproduces ${BASELINE}")
+message(STATUS "${GATE}: ${bin_name} ${ARGS} reproduces ${BASELINE}")

@@ -188,8 +188,9 @@ def main():
             fail(f"server-stress steps must mention '{needle}'")
 
     # bench-smoke: --json artifacts, schema validation, baseline diff,
-    # artifact upload, and the two hard identity gates (ω=1 no-op against
-    # table1_quick.json; cycle-sim statistics against table1_sim_quick.json).
+    # artifact upload, and the hard identity gates checked below (ω=1 no-op
+    # against table1_quick.json; cycle-sim statistics against
+    # table1_sim_quick.json; the ω sweep and k-means against theirs).
     smoke = steps_text(jobs["bench-smoke"])
     for needle in (
         "--json",
@@ -215,6 +216,22 @@ def main():
     ):
         if needle not in smoke:
             fail(f"bench-smoke steps must mention '{needle}'")
+
+    # Hard identity gates: each baseline must be diffed by a step that runs
+    # report_diff at --max-changed=0 and is not --warn-only.
+    hard_steps = [
+        str(st.get("run", "")) for st in jobs["bench-smoke"].get("steps", [])
+        if "--max-changed=0" in str(st.get("run", ""))
+        and "--warn-only" not in str(st.get("run", ""))
+    ]
+    for baseline in (
+        "bench/baselines/table1_quick.json",
+        "bench/baselines/table1_sim_quick.json",
+        "bench/baselines/sweep_omega_quick.json",
+        "bench/baselines/kmeans_quick.json",
+    ):
+        if not any(baseline in run for run in hard_steps):
+            fail(f"bench-smoke must hard-gate {baseline} at --max-changed=0")
 
     print(f"OK: {path} parses and has the expected job structure")
     return 0

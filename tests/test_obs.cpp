@@ -219,6 +219,44 @@ TEST(RunReport, JsonRoundTripPreservesEverything) {
   EXPECT_EQ(back.to_json(), j);
 }
 
+// Every field-table entry gets its own value, so a field that +=,
+// phase_delta or the JSON round trip drops or confuses with another shows up
+// by name.
+TEST(PhaseFieldTable, SumDeltaAndJsonPreserveEveryField) {
+  PhaseStats a;
+  a.name = "fields";
+  std::uint64_t next = 1;
+  for_each_phase_field([&](const auto& f) { a.*f.member = next++; });
+
+  PhaseStats twice = a;
+  twice += a;
+  const PhaseStats delta = phase_delta(twice, a);
+
+  MachineStats st;
+  st.total = a;
+  st.phases.push_back(a);
+  obs::RunReport report("unit_test");
+  report.add_run("fields").set_counting(st, 64);
+  const Json j = report.to_json();
+  const obs::RunReport back = obs::RunReport::from_json(j);
+  const Json& phase_json = j.at("runs").arr().at(0).at("counting").at("total");
+
+  for_each_phase_field([&](const auto& f) {
+    if (f.running_max) {
+      EXPECT_EQ(twice.*f.member, a.*f.member) << f.name;
+      EXPECT_EQ(delta.*f.member, a.*f.member) << f.name;
+    } else {
+      EXPECT_EQ(twice.*f.member, 2 * a.*f.member) << f.name;
+      EXPECT_EQ(delta.*f.member, a.*f.member) << f.name;
+    }
+    EXPECT_TRUE(phase_json.contains(f.name)) << f.name;
+    EXPECT_EQ(back.runs.at(0).counting.total.*f.member, a.*f.member)
+        << f.name;
+    EXPECT_EQ(back.runs.at(0).counting.phases.at(0).*f.member, a.*f.member)
+        << f.name;
+  });
+}
+
 TEST(RunReport, WriteAndLoadFile) {
   const obs::RunReport report = tiny_report();
   const std::string path =

@@ -425,9 +425,10 @@ TEST(Faults, NthAndRearmSemantics) {
 
 // --- asymmetric read/write split (omega) ------------------------------------
 
-// The conservation law the split counters must obey in every phase: each
-// combined counter equals the sum of its directional twins. The split is
-// double-booked at the charge sites (not derived), so these are falsifiable.
+// The conservation law the split counters obey in every phase: each
+// combined counter equals the sum of its directional twins. The fold derives
+// both from the same ledger cells, so a failure here means a field-table
+// entry selects the wrong cells.
 void expect_conserved(const PhaseStats& ph) {
   EXPECT_EQ(ph.far_read_bytes + ph.far_write_bytes, ph.far_bytes());
   EXPECT_EQ(ph.near_read_bytes + ph.near_write_bytes, ph.near_bytes());
@@ -444,7 +445,18 @@ void expect_conserved(const PhaseStats& ph) {
             ph.dma_near_bursts);
 }
 
+// Every traffic field of `got` against a hand-written expectation (fields
+// `want` leaves out are expected to be zero).
+void expect_traffic(const PhaseStats& got, const PhaseStats& want) {
+  EXPECT_EQ(got.name, want.name);
+  for (const TrafficField& t : kTrafficFields)
+    EXPECT_EQ(got.*t.field.member, want.*t.field.member)
+        << got.name << ": " << t.field.name;
+}
+
 TEST(OmegaSplit, EveryOpKindConserves) {
+  // B = 64 far, rho * B = 256 near: an 8 KiB copy is 128 far blocks and
+  // 32 near blocks; the odd sizes below round partial blocks up.
   Machine m(cfg1());
   auto near = m.alloc_array<std::uint64_t>(Space::Near, 1024);
   auto far = m.alloc_array<std::uint64_t>(Space::Far, 1024);
@@ -462,35 +474,88 @@ TEST(OmegaSplit, EveryOpKindConserves) {
   m.dma_copy(0, far.data(), near.data(), near.size_bytes());
   m.end_phase();
   m.begin_phase("stream");
-  m.stream_read(0, far.data(), 64);
-  m.stream_write(0, far.data(), 64);
-  m.stream_read(0, near.data(), 64);
-  m.stream_write(0, near.data(), 64);
+  m.stream_read(0, far.data(), 100);    // 2 far blocks
+  m.stream_write(1, far.data(), 200);   // 4 far blocks
+  m.stream_read(1, near.data(), 300);   // 2 near blocks
+  m.stream_write(0, near.data(), 600);  // 3 near blocks
+  m.end_phase();
+  m.begin_phase("dma.odd");
+  m.dma_copy(1, near.data(), far.data(), 1000);  // 16 far, 4 near blocks
+  m.dma_copy(0, far.data(), near.data(), 520);   // 9 far, 3 near blocks
   m.end_phase();
 
   const MachineStats st = m.stats();
-  ASSERT_EQ(st.phases.size(), 5u);
+  ASSERT_EQ(st.phases.size(), 6u);
   for (const PhaseStats& ph : st.phases) expect_conserved(ph);
   expect_conserved(st.total);
 
-  // Directional attribution: a far->near copy is all far *reads* and near
-  // *writes*; the reverse copy flips both.
-  const PhaseStats& f2n = st.phases[0];
-  EXPECT_EQ(f2n.far_read_bytes, 8192u);
-  EXPECT_EQ(f2n.far_write_blocks, 0u);
-  EXPECT_EQ(f2n.far_read_blocks, f2n.far_blocks);
-  EXPECT_EQ(f2n.near_write_blocks, f2n.near_blocks);
-  EXPECT_EQ(f2n.near_read_bursts, 0u);
-  const PhaseStats& n2f = st.phases[1];
-  EXPECT_EQ(n2f.far_write_blocks, n2f.far_blocks);
-  EXPECT_EQ(n2f.far_read_bursts, 0u);
-  EXPECT_EQ(n2f.near_read_blocks, n2f.near_blocks);
-  // DMA traffic lands in the dma splits as well as the combined ones.
-  const PhaseStats& dma = st.phases[2];
-  EXPECT_EQ(dma.dma_far_read_bytes, 8192u);
-  EXPECT_EQ(dma.dma_far_write_bytes, 0u);
-  EXPECT_EQ(dma.dma_near_write_bytes, 8192u);
-  EXPECT_EQ(dma.dma_far_read_bursts, dma.dma_far_bursts);
+  // A far->near copy is all far *reads* and near *writes*; the reverse
+  // copy flips both.
+  expect_traffic(st.phases[0],
+                 {.name = "copy.f2n",
+                  .far_read_bytes = 8192, .near_write_bytes = 8192,
+                  .far_blocks = 128, .near_blocks = 32,
+                  .far_bursts = 1, .near_bursts = 1,
+                  .far_read_blocks = 128, .near_write_blocks = 32,
+                  .far_read_bursts = 1, .near_write_bursts = 1});
+  expect_traffic(st.phases[1],
+                 {.name = "copy.n2f",
+                  .far_write_bytes = 8192, .near_read_bytes = 8192,
+                  .far_blocks = 128, .near_blocks = 32,
+                  .far_bursts = 1, .near_bursts = 1,
+                  .far_write_blocks = 128, .near_read_blocks = 32,
+                  .far_write_bursts = 1, .near_read_bursts = 1});
+  // DMA traffic lands in the dma counters as well as the combined ones.
+  expect_traffic(st.phases[2],
+                 {.name = "dma.f2n",
+                  .far_read_bytes = 8192, .near_write_bytes = 8192,
+                  .far_blocks = 128, .near_blocks = 32,
+                  .far_bursts = 1, .near_bursts = 1,
+                  .dma_far_bytes = 8192, .dma_near_bytes = 8192,
+                  .dma_far_bursts = 1, .dma_near_bursts = 1,
+                  .far_read_blocks = 128, .near_write_blocks = 32,
+                  .far_read_bursts = 1, .near_write_bursts = 1,
+                  .dma_far_read_bytes = 8192, .dma_near_write_bytes = 8192,
+                  .dma_far_read_bursts = 1, .dma_near_write_bursts = 1});
+  expect_traffic(st.phases[3],
+                 {.name = "dma.n2f",
+                  .far_write_bytes = 8192, .near_read_bytes = 8192,
+                  .far_blocks = 128, .near_blocks = 32,
+                  .far_bursts = 1, .near_bursts = 1,
+                  .dma_far_bytes = 8192, .dma_near_bytes = 8192,
+                  .dma_far_bursts = 1, .dma_near_bursts = 1,
+                  .far_write_blocks = 128, .near_read_blocks = 32,
+                  .far_write_bursts = 1, .near_read_bursts = 1,
+                  .dma_far_write_bytes = 8192, .dma_near_read_bytes = 8192,
+                  .dma_far_write_bursts = 1, .dma_near_read_bursts = 1});
+  // Core streams on both threads: no DMA slice, partial blocks round up.
+  expect_traffic(st.phases[4],
+                 {.name = "stream",
+                  .far_read_bytes = 100, .far_write_bytes = 200,
+                  .near_read_bytes = 300, .near_write_bytes = 600,
+                  .far_blocks = 6, .near_blocks = 5,
+                  .far_bursts = 2, .near_bursts = 2,
+                  .far_read_blocks = 2, .far_write_blocks = 4,
+                  .near_read_blocks = 2, .near_write_blocks = 3,
+                  .far_read_bursts = 1, .far_write_bursts = 1,
+                  .near_read_bursts = 1, .near_write_bursts = 1});
+  // Odd-sized DMA in both directions, issued from both threads.
+  expect_traffic(st.phases[5],
+                 {.name = "dma.odd",
+                  .far_read_bytes = 1000, .far_write_bytes = 520,
+                  .near_read_bytes = 520, .near_write_bytes = 1000,
+                  .far_blocks = 25, .near_blocks = 7,
+                  .far_bursts = 2, .near_bursts = 2,
+                  .dma_far_bytes = 1520, .dma_near_bytes = 1520,
+                  .dma_far_bursts = 2, .dma_near_bursts = 2,
+                  .far_read_blocks = 16, .far_write_blocks = 9,
+                  .near_read_blocks = 3, .near_write_blocks = 4,
+                  .far_read_bursts = 1, .far_write_bursts = 1,
+                  .near_read_bursts = 1, .near_write_bursts = 1,
+                  .dma_far_read_bytes = 1000, .dma_far_write_bytes = 520,
+                  .dma_near_read_bytes = 520, .dma_near_write_bytes = 1000,
+                  .dma_far_read_bursts = 1, .dma_far_write_bursts = 1,
+                  .dma_near_read_bursts = 1, .dma_near_write_bursts = 1});
 }
 
 TEST(OmegaSplit, ConcurrentChargesConserve) {

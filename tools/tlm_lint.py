@@ -16,15 +16,12 @@ textually over src/:
                      src/sort kernels (metadata-sized vectors are fine);
                      an O(n) vector bypasses both spaces' accounting.
   counters-mutation  No direct writes to PhaseStats traffic/compute fields
-                     outside src/scratchpad — counters are owned by the
-                     Machine's charge paths.
-  split-counters-mutation  No direct writes to the directional read/write
-                     split counters (far_read_blocks, dma_far_write_bytes,
-                     ...) outside src/scratchpad. The asymmetric-omega time
-                     model and the model.rw_conservation check both assume
-                     split_read + split_write == combined at every charge
-                     site; a stray mutation silently skews omega-weighted
-                     time while the legacy counters still look right.
+                     (combined counters like far_blocks and their read/write
+                     splits like dma_far_write_bytes alike) outside
+                     src/scratchpad. The Machine's phase fold derives every
+                     traffic field from one ledger, so split_read +
+                     split_write == combined holds by construction; a stray
+                     write breaks that and silently skews the time model.
   banned-function    rand/srand (seeded runs must be reproducible via
                      common/rng.hpp), sprintf/strcpy/strcat/strtok/gets.
   include-hygiene    #pragma once in headers, no "../" includes, no
@@ -88,24 +85,19 @@ CXX_EXTENSIONS = (".hpp", ".cpp", ".h", ".cc")
 ALLOW_LINE = re.compile(r"//\s*tlm-lint:\s*allow\(([a-z-]+)\)")
 ALLOW_FILE = re.compile(r"//\s*tlm-lint:\s*allow-file\(([a-z-]+)\)")
 
-# PhaseStats fields the Machine's charge/fold paths own.
+# PhaseStats fields the Machine's charge/fold paths own: every traffic field
+# (PhaseStats' kTrafficFields table) plus the compute and host-time fields.
 COUNTER_FIELDS = (
     "far_read_bytes|far_write_bytes|near_read_bytes|near_write_bytes|"
     "far_blocks|near_blocks|far_bursts|near_bursts|"
-    "compute_ops_total|compute_ops_max|host_seconds"
-)
-
-# Directional split twins of the combined counters, added with the
-# asymmetric read/write (omega) cost model. Same owner, separate rule: the
-# conservation invariant split_read + split_write == combined has its own
-# named guard so a finding points straight at the skew risk.
-SPLIT_COUNTER_FIELDS = (
+    "dma_far_bytes|dma_near_bytes|dma_far_bursts|dma_near_bursts|"
     "far_read_blocks|far_write_blocks|near_read_blocks|near_write_blocks|"
     "far_read_bursts|far_write_bursts|near_read_bursts|near_write_bursts|"
     "dma_far_read_bytes|dma_far_write_bytes|"
     "dma_near_read_bytes|dma_near_write_bytes|"
     "dma_far_read_bursts|dma_far_write_bursts|"
-    "dma_near_read_bursts|dma_near_write_bursts"
+    "dma_near_read_bursts|dma_near_write_bursts|"
+    "compute_ops_total|compute_ops_max|host_seconds"
 )
 
 RE_RAW_THREAD = re.compile(r"\bstd::(thread|jthread|async)\b|\bpthread_create\b")
@@ -121,9 +113,6 @@ RE_VECTOR_SIZE_CALL = re.compile(r"\.(resize|reserve|assign)\s*\(([^;]*)\)")
 RE_BARE_N = re.compile(r"(?<![\w.])n(?![\w(])")
 RE_COUNTER_WRITE = re.compile(
     r"[.>](" + COUNTER_FIELDS + r")\s*(=(?!=)|\+=|-=|\*=|/=|\+\+|--)"
-)
-RE_SPLIT_COUNTER_WRITE = re.compile(
-    r"[.>](" + SPLIT_COUNTER_FIELDS + r")\s*(=(?!=)|\+=|-=|\*=|/=|\+\+|--)"
 )
 RE_BANNED = re.compile(
     r"(?<![\w:.])(rand|srand|sprintf|vsprintf|strcpy|strcat|strtok|gets)\s*\("
@@ -510,16 +499,8 @@ class Linter:
             if not in_scratchpad and RE_COUNTER_WRITE.search(line):
                 self.report(path, i, "counters-mutation",
                             "direct write to a PhaseStats counter field — "
-                            "counters are owned by src/scratchpad",
-                            lines, file_allows)
-
-            if not in_scratchpad and RE_SPLIT_COUNTER_WRITE.search(line):
-                self.report(path, i, "split-counters-mutation",
-                            "direct write to a directional split counter — "
-                            "split_read + split_write == combined is an "
-                            "invariant of the src/scratchpad charge paths "
-                            "(model.rw_conservation); mutating one side "
-                            "skews the omega-weighted time model",
+                            "counters are derived by the src/scratchpad "
+                            "phase fold",
                             lines, file_allows)
 
             if RE_BANNED.search(line):
@@ -597,7 +578,7 @@ class Linter:
 
 RULES = [
     "raw-thread", "raw-alloc", "unaccounted-buffer", "counters-mutation",
-    "split-counters-mutation", "banned-function", "include-hygiene",
+    "banned-function", "include-hygiene",
     "hand-rolled-staging", "unchecked-try-alloc", "dma-fence-discipline",
     "server-near-alloc", "phase-loop-checkpoint",
 ]
@@ -804,7 +785,7 @@ void consume(Machine& m, const std::byte* src, std::uint64_t n) {
     (
         "split-counter-mutation-fires",
         "src/foo/skew.cpp",
-        "split-counters-mutation",
+        "counters-mutation",
         """\
 void patch_up(PhaseStats& p, std::uint64_t blocks) {
   p.far_write_blocks += blocks;
@@ -813,7 +794,7 @@ void patch_up(PhaseStats& p, std::uint64_t blocks) {
     ),
     (
         # Reads of split counters (tests, reports) are fine; only mutation
-        # threatens the conservation invariant.
+        # can break their derivation from the ledger.
         "split-counter-read-is-clean",
         "src/foo/readsplit.cpp",
         None,
@@ -839,7 +820,7 @@ void Machine::charge_far_write(std::uint64_t blocks) {
         None,
         """\
 void rebuild(PhaseStats& p, std::uint64_t v) {
-  // tlm-lint: allow(split-counters-mutation): fixture exercising the escape
+  // tlm-lint: allow(counters-mutation): fixture exercising the escape
   p.dma_far_write_bursts = v;
 }
 """,
