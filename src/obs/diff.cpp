@@ -48,46 +48,6 @@ LeafKind classify(std::string_view path) {
   return LeafKind::Context;
 }
 
-// Fault-injection leaves ("faults.*", "retries.*", "degrade.*", injected
-// stall counters/times). These sections postdate many checked-in baselines,
-// so a side that lacks one is read as "all zero" rather than as a schema
-// drift: the comparison still runs (a chaos baseline with nonzero faults
-// against a clean run still diffs), but absence alone is never a failure.
-bool is_fault_leaf(std::string_view path) {
-  if (path.find("faults.") != std::string_view::npos ||
-      path.find("retries.") != std::string_view::npos ||
-      path.find("degrade.") != std::string_view::npos)
-    return true;
-  const std::string_view leaf = last_segment(path);
-  return leaf == "stall_s" || leaf == "stalls";
-}
-
-// Read/write split leaves (the ω model's directional counters). They
-// postdate many checked-in baselines, and — unlike the fault leaves — a
-// side that lacks them carries no information of its own: the combined
-// counters they split still compare leaf-for-leaf. So absence on either
-// side skips the leaf entirely rather than reading it as zero.
-// Deliberately an exact-name list, not a *_bytes suffix rule: the byte
-// splits (far_read_bytes & co.) predate ω, exist in every old baseline,
-// and must keep hard missing-key semantics.
-bool is_split_leaf(std::string_view path) {
-  const std::string_view leaf = last_segment(path);
-  static constexpr std::string_view kSplit[] = {
-      "far_read_blocks",      "far_write_blocks",
-      "near_read_blocks",     "near_write_blocks",
-      "far_read_bursts",      "far_write_bursts",
-      "near_read_bursts",     "near_write_bursts",
-      "dma_far_read_bytes",   "dma_far_write_bytes",
-      "dma_near_read_bytes",  "dma_near_write_bytes",
-      "dma_far_read_bursts",  "dma_far_write_bursts",
-      "dma_near_read_bursts", "dma_near_write_bursts",
-      "far_reads",            "far_writes",
-      "near_reads",           "near_writes"};
-  for (const std::string_view k : kSplit)
-    if (leaf == k) return true;
-  return false;
-}
-
 void flatten(const Json& j, const std::string& prefix,
              std::map<std::string, double>& out) {
   if (j.is_number()) {
@@ -128,12 +88,11 @@ DiffReport diff_reports(const Json& baseline, const Json& current,
   for (const auto& [path, bval] : base) {
     const LeafKind kind = classify(path);
     const auto it = cur.find(path);
-    if (it == cur.end() && is_split_leaf(path)) continue;
-    if (it == cur.end() && !is_fault_leaf(path)) {
+    if (it == cur.end()) {
       if (kind == LeafKind::Cost) out.missing_in_current.push_back(path);
       continue;
     }
-    const double cval = it == cur.end() ? 0.0 : it->second;
+    const double cval = it->second;
     if (kind == LeafKind::Wall && !opt.include_wall) continue;
     if (kind == LeafKind::Context) {
       if (std::abs(cval - bval) > opt.abs_epsilon)
@@ -155,21 +114,6 @@ DiffReport diff_reports(const Json& baseline, const Json& current,
   }
   for (const auto& [path, cval] : cur) {
     if (base.count(path) || classify(path) != LeafKind::Cost) continue;
-    if (is_fault_leaf(path)) {
-      // Baseline predates the fault section: read it as zero. A zero
-      // current value is a non-event; a nonzero one is a real change.
-      if (std::abs(cval) <= opt.abs_epsilon) continue;
-      ++out.leaves_compared;
-      DiffEntry e;
-      e.path = path;
-      e.baseline = 0;
-      e.current = cval;
-      e.delta_rel = cval > 0 ? 1.0 : -1.0;
-      e.regression = e.delta_rel > opt.threshold;
-      e.improvement = e.delta_rel < -opt.threshold;
-      out.entries.push_back(std::move(e));
-      continue;
-    }
     out.added_in_current.push_back(path);
   }
   return out;

@@ -7,10 +7,12 @@
 // when present, so reordering records does not misalign runs), and only
 // cost-like leaves — seconds, bytes, blocks, bursts, accesses, events,
 // reads/writes, misses, fills, writebacks, messages — participate in the
-// regression verdict. Host wall-clock ("wall_seconds"/"host_seconds") is
-// noisy across machines and is excluded unless opted in. Config/params
-// leaves never regress; differing values are reported as context
-// mismatches, which usually mean the two reports are not comparable runs.
+// regression verdict. A cost leaf present on one side only is listed as
+// missing or added, never read as zero. Host wall-clock
+// ("wall_seconds"/"host_seconds") is noisy across machines and is excluded
+// unless opted in. Config/params leaves never regress; differing values are
+// reported as context mismatches, which usually mean the two reports are
+// not comparable runs.
 #pragma once
 
 #include <cstdint>

@@ -7,18 +7,11 @@ namespace tlm::obs {
 
 namespace {
 
-// Every numeric PhaseStats field, keyed by its field-table name. The
-// read/write split counters (ω model) are emitted unconditionally: report
-// diffs never count keys *added* relative to a baseline, and the diff layer
-// tolerates their absence in pre-split baselines (is_split_leaf).
+// Every numeric PhaseStats field, keyed by its field-table name.
 Json phase_to_json(const PhaseStats& p, bool with_name) {
   Json j = Json::object();
   if (with_name) j["name"] = p.name;
   for_each_phase_field([&](const auto& f) { j[f.name] = p.*f.member; });
-  // Injected-fault stall time: only ever nonzero under fault injection, so
-  // it is omitted when zero — clean reports stay byte-identical to
-  // baselines that predate the fault model.
-  if (p.stall_s == 0) j.obj().erase("stall_s");
   return j;
 }
 
@@ -46,9 +39,7 @@ Json config_to_json(const TwoLevelConfig& c) {
   j["core_rate"] = c.core_rate;
   j["threads"] = static_cast<std::uint64_t>(c.threads);
   j["overlap_dma"] = c.overlap_dma;
-  // ω: emitted only when the asymmetric model is active, so symmetric-run
-  // reports stay byte-identical to pre-ω baselines (the stall_s pattern).
-  if (c.far_write_cost != 1.0) j["far_write_cost"] = c.far_write_cost;
+  j["far_write_cost"] = c.far_write_cost;
   return j;
 }
 
@@ -101,12 +92,10 @@ Json sim_to_json(const SimCounters& s) {
   cores["stores"] = s.core_stores;
   cores["compute_ops"] = s.compute_ops;
   cores["barrier_epochs"] = s.barrier_epochs;
-  if (s.dma_descriptors || s.dma_lines || s.dma_bytes) {
-    Json& dma = j["dma"];
-    dma["descriptors"] = s.dma_descriptors;
-    dma["lines"] = s.dma_lines;
-    dma["bytes"] = s.dma_bytes;
-  }
+  Json& dma = j["dma"];
+  dma["descriptors"] = s.dma_descriptors;
+  dma["lines"] = s.dma_lines;
+  dma["bytes"] = s.dma_bytes;
   return j;
 }
 
@@ -448,8 +437,7 @@ void export_stats(const MachineStats& st, std::uint64_t line_bytes,
   reg.counter("machine.far_accesses").add(st.far_accesses(line_bytes));
   reg.counter("machine.near_accesses").add(st.near_accesses(line_bytes));
   // Directional access counts and the split block/burst counters — what the
-  // ω model weighs. Old baselines predate them; obs::diff tolerates their
-  // absence (is_split_leaf) the way it does for faults.*.
+  // ω model weighs.
   reg.counter("machine.far_reads").add(st.far_reads(line_bytes));
   reg.counter("machine.far_writes").add(st.far_writes(line_bytes));
   reg.counter("machine.near_reads").add(st.near_reads(line_bytes));

@@ -111,9 +111,8 @@ void export_stats(const MachineStats& st, std::uint64_t line_bytes,
 // from Machine::stager_stats() or an individual Stager::stats().
 void export_stats(const StagerStats& st, MetricsRegistry& reg);
 // Fault-injection counters ("faults.near_alloc_injected", "retries.dma",
-// ...) from Machine::fault_stats(). Always emits the full key set so fault
-// counters are first-class report citizens; report_diff treats their
-// absence in older baselines as zero.
+// ...) from Machine::fault_stats(). Always emits the full key set, zeros
+// included, so fault counters diff leaf for leaf like any other cost leaf.
 void export_stats(const FaultStats& st, MetricsRegistry& reg);
 void export_stats(const sim::SimReport& r, MetricsRegistry& reg);
 // Out-of-core trace capture ("trace.spill_bytes", "trace.capture_bytes_per_op",

@@ -27,9 +27,8 @@ struct TwoLevelConfig {
   // Asymmetric Read and Write Costs"): a far write costs ω× a far read of
   // the same size, in both bandwidth and per-burst latency. The scratchpad
   // stays symmetric (SRAM-like near memory has no write asymmetry). ω=1
-  // reproduces the paper's symmetric model bit-for-bit — the time fold takes
-  // the legacy integer-sum path in that case, so enabling the field cannot
-  // perturb existing baselines.
+  // reproduces the paper's symmetric model bit-for-bit: the weighted fold
+  // performs the same IEEE operations as an unweighted sum there.
   double far_write_cost = 1.0;
 
   // When true, phase time is max(compute, far traffic, near traffic) —

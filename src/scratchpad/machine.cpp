@@ -575,25 +575,17 @@ PhaseStats Machine::fold_open_phase() const {
   // Per-burst access latencies amortize across the p cores issuing them.
   const double p = static_cast<double>(cfg_.threads);
   const double omega = cfg_.far_write_cost;
-  if (omega == 1.0) {
-    // Symmetric model: keep the exact legacy arithmetic (uint64 sum of both
-    // directions, one cast) so ω=1 reproduces pre-split baselines bit for
-    // bit — the weighted path below sums two separately-cast doubles, which
-    // can round differently in the last bit.
-    out.far_s = static_cast<double>(out.far_bytes()) / cfg_.far_bw +
-                static_cast<double>(out.far_bursts) * cfg_.far_latency / p;
-  } else {
-    // Asymmetric ω model (Blelloch et al.): a far write costs ω× a far read
-    // in both bandwidth occupancy and per-burst latency. Near memory stays
-    // symmetric.
-    out.far_s =
-        (static_cast<double>(out.far_read_bytes) +
-         omega * static_cast<double>(out.far_write_bytes)) /
-            cfg_.far_bw +
-        (static_cast<double>(out.far_read_bursts) +
-         omega * static_cast<double>(out.far_write_bursts)) *
-            cfg_.far_latency / p;
-  }
+  // Asymmetric ω model (Blelloch et al.): a far write costs ω× a far read in
+  // both bandwidth occupancy and per-burst latency. Near memory stays
+  // symmetric. At ω = 1 this is bit-identical to the symmetric sum: 1.0·x is
+  // exact, and so is the double sum of two counts whose total is below 2^53.
+  out.far_s =
+      (static_cast<double>(out.far_read_bytes) +
+       omega * static_cast<double>(out.far_write_bytes)) /
+          cfg_.far_bw +
+      (static_cast<double>(out.far_read_bursts) +
+       omega * static_cast<double>(out.far_write_bursts)) *
+          cfg_.far_latency / p;
   out.near_s = static_cast<double>(out.near_bytes()) / cfg_.near_bw() +
                static_cast<double>(out.near_bursts) * cfg_.near_latency / p;
   out.compute_s = out.compute_ops_max / cfg_.core_rate;
@@ -607,15 +599,12 @@ PhaseStats Machine::fold_open_phase() const {
   // core-driven far traffic, so the overlap subtraction below stays
   // consistent at any ω.
   const double dma_far_s =
-      omega == 1.0
-          ? static_cast<double>(out.dma_far_bytes) / cfg_.far_bw +
-                static_cast<double>(out.dma_far_bursts) * cfg_.far_latency / p
-          : (static_cast<double>(out.dma_far_read_bytes) +
-             omega * static_cast<double>(out.dma_far_write_bytes)) /
-                    cfg_.far_bw +
-                (static_cast<double>(out.dma_far_read_bursts) +
-                 omega * static_cast<double>(out.dma_far_write_bursts)) *
-                    cfg_.far_latency / p;
+      (static_cast<double>(out.dma_far_read_bytes) +
+       omega * static_cast<double>(out.dma_far_write_bytes)) /
+          cfg_.far_bw +
+      (static_cast<double>(out.dma_far_read_bursts) +
+       omega * static_cast<double>(out.dma_far_write_bursts)) *
+          cfg_.far_latency / p;
   const double dma_near_s =
       static_cast<double>(out.dma_near_bytes) / cfg_.near_bw() +
       static_cast<double>(out.dma_near_bursts) * cfg_.near_latency / p;

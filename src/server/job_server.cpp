@@ -120,11 +120,12 @@ bool JobServer::settled(const std::shared_ptr<JobHandle::State>& st) {
 
 JobServer::JobServer(Machine& m) : JobServer(m, Options{}) {}
 
-JobServer::JobServer(Machine& m, Options opt) : machine_(m), opt_(opt) {
+JobServer::JobServer(Machine& m, Options opt)
+    : machine_(m), opt_(opt), start_totals_(m.totals()) {
   TLM_REQUIRE(opt_.max_outstanding > 0 && opt_.max_queue_per_tenant > 0,
               "admission limits must be positive");
   MutexLock lock(mu_);
-  last_snapshot_ = machine_.totals();
+  last_snapshot_ = start_totals_;
 }
 
 JobServer::~JobServer() { drain(); }
@@ -529,10 +530,11 @@ void JobServer::check_attribution_locked() {
   // Conservation: every byte the machine counted since the server started
   // must be attributed to exactly one tenant or the untenanted bucket.
   // The tail delta covers traffic after the last bracketed phase.
-  const PhaseStats grand = machine_.totals();
+  const PhaseStats now = machine_.totals();
+  const PhaseStats grand = phase_delta(now, start_totals_);
   PhaseStats sum = untenanted_;
   for (const auto& t : tenants_) sum += t->attributed;
-  sum += phase_delta(grand, last_snapshot_);
+  sum += phase_delta(now, last_snapshot_);
   for (const TrafficField& t : kTrafficFields) {
     const std::uint64_t attributed = sum.*t.field.member;
     const std::uint64_t total = grand.*t.field.member;

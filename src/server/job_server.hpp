@@ -283,6 +283,9 @@ class JobServer {
 
   Machine& machine_;
   Options opt_;
+  // Machine totals when the server was built: attribution conservation
+  // covers only the traffic counted after this point.
+  const PhaseStats start_totals_;
 
   mutable Mutex mu_;
   std::condition_variable cv_;

@@ -203,15 +203,11 @@ std::vector<const T*> merge_path_cut(Machine& m, std::size_t thread,
 // Computes the exact k-way partition on the calling thread (rank probes
 // charged to `thread`). `parts` must be >= 1. Part j covers global ranks
 // [⌊j·total/parts⌋, ⌊(j+1)·total/parts⌋), so every part holds at most
-// ⌈total/parts⌉ elements whatever the key distribution. The trailing
-// `sort_span_div` parameter of the old sampling splitter is retained for
-// source compatibility and ignored.
+// ⌈total/parts⌉ elements whatever the key distribution.
 template <typename T, typename Cmp = std::less<T>>
 MergePartition<T> partition_merge(Machine& m, std::size_t thread,
                                   const std::vector<Run<T>>& runs,
-                                  std::size_t parts, Cmp cmp = {},
-                                  [[maybe_unused]] const MergeOptions& opt = {},
-                                  [[maybe_unused]] double sort_span_div = 1.0) {
+                                  std::size_t parts, Cmp cmp = {}) {
   const std::uint64_t total = total_size(runs);
   MergePartition<T> out;
   out.slice.resize(parts);
@@ -288,8 +284,7 @@ void parallel_multiway_merge(
   }
   // The orchestrator computes the partition; under the exact merge-path
   // split each part's slice is within one element of total/parts.
-  const MergePartition<T> part = partition_merge(
-      m, 0, runs, parts, cmp, opt, static_cast<double>(m.threads()));
+  const MergePartition<T> part = partition_merge(m, 0, runs, parts, cmp);
   m.run_spmd([&](std::size_t w) {
     if (per_worker) per_worker(w);
     if (w >= parts || part.slice[w].empty()) return;

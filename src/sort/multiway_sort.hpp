@@ -163,8 +163,7 @@ std::uint64_t merge_pass(Machine& m, const T* src, T* dst, std::uint64_t n,
             per_group[g].push_back(Task{std::move(rs), out});
             continue;
           }
-          MergePartition<T> part =
-              partition_merge(m, w, rs, parts, cmp, opt);
+          MergePartition<T> part = partition_merge(m, w, rs, parts, cmp);
           for (std::size_t p = 0; p < parts; ++p)
             if (!part.slice[p].empty())
               per_group[g].push_back(

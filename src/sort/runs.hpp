@@ -105,15 +105,12 @@ const T* charged_gallop_lower_bound(Machine& m, std::size_t thread,
 // yields correct independent merges; sampling only affects load balance,
 // which is excellent for the random keys the paper sorts. Matches the
 // splitting role of MCSTL's multiseq selection at a fraction of the code.
-// `sort_span_div` spreads the sample-sort compute charge: pass the worker
-// count when the caller's real implementation would sort the sample in
-// parallel (as MCSTL does), 1 when the call happens inside per-worker code.
+// The sample sort's compute is charged to `thread` alone.
 template <typename T, typename Cmp>
 std::vector<T> sample_splitters(Machine& m, std::size_t thread,
                                 const std::vector<Run<T>>& runs,
                                 std::size_t parts, Cmp cmp,
-                                std::size_t oversample = 16,
-                                double sort_span_div = 1.0) {
+                                std::size_t oversample = 16) {
   TLM_REQUIRE(parts >= 1, "need at least one part");
   std::vector<T> sample;
   if (parts == 1) return sample;
@@ -134,8 +131,7 @@ std::vector<T> sample_splitters(Machine& m, std::size_t thread,
   }
   std::sort(sample.begin(), sample.end(), cmp);
   m.compute(thread, static_cast<double>(sample.size()) *
-                        std::log2(static_cast<double>(sample.size()) + 2) /
-                        std::max(1.0, sort_span_div));
+                        std::log2(static_cast<double>(sample.size()) + 2));
   std::vector<T> splitters;
   splitters.reserve(parts - 1);
   if (sample.empty()) return splitters;

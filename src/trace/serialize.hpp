@@ -1,15 +1,12 @@
 // Binary trace files: capture once, replay many — the workflow SST users
-// have with Ariel tracing. Two on-disk op encodings are supported:
-//
-//  * v2 — the original format: small versioned header + raw per-thread
-//    TraceOp POD arrays (40 B/op). Still written on request and always
-//    loadable.
-//  * v3 — compact varint/delta wire format (typically 3–6 B/op): vaddrs are
-//    zigzag-delta-coded against the end of the previous burst (coalesced
-//    runs therefore encode a 1-byte zero delta), burst lengths and barrier
-//    ids are LEB128 varints, and compute amounts are byte-swapped doubles
-//    (mantissa-light values varint short). The same wire codec backs the
-//    out-of-core MappedLog sink (trace/mapped_log.hpp).
+// have with Ariel tracing. A small versioned header is followed, per thread,
+// by the op count and the ops in the compact varint/delta wire format
+// (version 3, typically 3–6 B/op): vaddrs are zigzag-delta-coded against the
+// end of the previous burst (coalesced runs therefore encode a 1-byte zero
+// delta), burst lengths and barrier ids are LEB128 varints, and compute
+// amounts are byte-swapped doubles (mantissa-light values varint short). The
+// same wire codec backs the out-of-core MappedLog sink
+// (trace/mapped_log.hpp).
 #pragma once
 
 #include <cstdint>
@@ -21,20 +18,15 @@
 
 namespace tlm::trace {
 
-inline constexpr std::uint32_t kTraceVersionPod = 2;
 inline constexpr std::uint32_t kTraceVersionVarint = 3;
-inline constexpr std::uint32_t kTraceVersionLatest = kTraceVersionVarint;
 
 // Writes `tb` to `os` / reads a buffer back. Throws std::invalid_argument
-// on malformed input (bad magic, version, or truncated stream). `version`
-// selects the op encoding; both versions load transparently.
-void save_trace(const TraceBuffer& tb, std::ostream& os,
-                std::uint32_t version = kTraceVersionLatest);
+// on malformed input (bad magic, any other version, or truncated stream).
+void save_trace(const TraceBuffer& tb, std::ostream& os);
 TraceBuffer load_trace(std::istream& is);
 
 // File convenience wrappers; throw on I/O failure.
-void save_trace_file(const TraceBuffer& tb, const std::string& path,
-                     std::uint32_t version = kTraceVersionLatest);
+void save_trace_file(const TraceBuffer& tb, const std::string& path);
 TraceBuffer load_trace_file(const std::string& path);
 
 // The v3 wire codec, exposed so MappedLog/ShardedReplay append and decode

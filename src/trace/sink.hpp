@@ -52,13 +52,9 @@ class TraceSink {
   virtual void on_barrier(std::size_t thread, std::uint64_t barrier_id) = 0;
   // A cross-space copy delegated to the DMA engine (Fig. 5/7's "DMA
   // Engines"): the issuing core posts a descriptor and keeps executing; the
-  // next barrier is the completion fence. Default: sinks that predate the
-  // DMA path see the equivalent read+write burst pair.
+  // next barrier is the completion fence.
   virtual void on_dma(std::size_t thread, std::uint64_t dst_vaddr,
-                      std::uint64_t src_vaddr, std::uint64_t bytes) {
-    on_read(thread, src_vaddr, bytes);
-    on_write(thread, dst_vaddr, bytes);
-  }
+                      std::uint64_t src_vaddr, std::uint64_t bytes) = 0;
 };
 
 }  // namespace tlm::trace

@@ -2,16 +2,16 @@
 # bench/CMakeLists.txt for the registrations): a bench binary run at a
 # checked-in baseline's exact parameters has to exit 0 (a bench's own shape
 # gates stay in force) and reproduce every cost leaf of that baseline under
-# report_diff --max-changed=0. Four gates use it:
+# report_diff --max-changed=0. A cost leaf the current report adds ("new in
+# current:") fails the gate too: an identity baseline must carry every leaf
+# the bench emits, so a schema addition re-captures the baseline in the same
+# change instead of leaving leaves unchecked. Four gates use it:
 #
 #   omega_noop_gate          The asymmetric write-cost extension must be
 #                            invisible at its default ω = 1 against
-#                            bench/baselines/table1_quick.json — a capture
-#                            from before the split counters existed. Split
-#                            leaves only present on the new side are
-#                            reported informationally and excluded from the
-#                            changed count (they have no pre-split twin to
-#                            drift from); any drift in a shared leaf fails.
+#                            bench/baselines/table1_quick.json (counting
+#                            backend, 2 cores): every combined and
+#                            read/write split leaf reproduces bit for bit.
 #   cycle_sim_identity_gate  Host-speed work on the cycle simulator must not
 #                            move a single simulated statistic against
 #                            bench/baselines/table1_sim_quick.json (a
@@ -61,6 +61,13 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR
     "${GATE}: a cost leaf changed against ${BASELINE} (exit ${rc})\n"
     "stdout:\n${out}\nstderr:\n${err}")
+endif()
+string(FIND "${out}" "new in current:" added)
+if(NOT added EQUAL -1)
+  message(FATAL_ERROR
+    "${GATE}: the current report has cost leaves ${BASELINE} lacks; "
+    "re-capture the baseline with: ${bin_name} ${ARGS} --json <baseline>\n"
+    "stdout:\n${out}")
 endif()
 
 message(STATUS "${GATE}: ${bin_name} ${ARGS} reproduces ${BASELINE}")

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "analysis/experiment.hpp"
 #include "sim/system.hpp"
@@ -60,6 +62,15 @@ TEST(TraceSerialize, BadMagicRejected) {
   std::stringstream ss;
   ss << "NOTATRACEFILE_____________";
   EXPECT_THROW(load_trace(ss), std::invalid_argument);
+  // A well-formed header of any other version (here 2, the retired raw-POD
+  // encoding) is rejected too.
+  std::stringstream v3;
+  save_trace(sample_trace(), v3);
+  std::string bytes = v3.str();
+  const std::uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 8, &v2, sizeof(v2));  // after the 8-byte magic
+  std::stringstream retired(bytes);
+  EXPECT_THROW(load_trace(retired), std::invalid_argument);
 }
 
 TEST(TraceSerialize, TruncationRejected) {
@@ -85,29 +96,21 @@ TEST(TraceSerialize, MissingFileThrows) {
                std::invalid_argument);
 }
 
-TEST(TraceSerialize, V2RoundTripStillWritable) {
-  // The POD format stays writable and loadable alongside the varint default.
-  const TraceBuffer tb = sample_trace();
-  std::stringstream ss;
-  save_trace(tb, ss, kTraceVersionPod);
-  EXPECT_TRUE(equal(tb, load_trace(ss)));
-}
-
-TEST(TraceSerialize, V2AndV3LoadIdenticalStreams) {
-  // Both encodings of a real captured trace must decode to the same ops —
-  // v3 is a wire change, not a semantic one.
+TEST(TraceSerialize, CapturedTraceRoundTrips) {
+  // A real captured NMsort trace (DMA copies, coalesced runs, compute and
+  // barriers on every thread) decodes back to the identical ops, in under a
+  // quarter of the bytes the in-memory TraceOps take.
   const TwoLevelConfig cfg =
       analysis::scaled_counting_config(4.0, 4, 256 * KiB);
   const analysis::CaptureRun cap = analysis::capture_sort_trace(
       cfg, analysis::Algorithm::NMsort, 1 << 14, 33);
-  std::stringstream pod, varint;
-  save_trace(cap.trace, pod, kTraceVersionPod);
-  save_trace(cap.trace, varint, kTraceVersionVarint);
-  EXPECT_LT(varint.str().size(), pod.str().size() / 4);  // the point of v3
-  const TraceBuffer from_pod = load_trace(pod);
-  const TraceBuffer from_varint = load_trace(varint);
-  EXPECT_TRUE(equal(from_pod, from_varint));
-  EXPECT_TRUE(equal(cap.trace, from_varint));
+  std::stringstream ss;
+  save_trace(cap.trace, ss);
+  std::size_t ops = 0;
+  for (std::size_t t = 0; t < cap.trace.threads(); ++t)
+    ops += cap.trace.stream(t).size();
+  EXPECT_LT(ss.str().size(), ops * sizeof(TraceOp) / 4);
+  EXPECT_TRUE(equal(cap.trace, load_trace(ss)));
 }
 
 TEST(TraceSerialize, ZeroLengthOpsSurvive) {
@@ -117,7 +120,7 @@ TEST(TraceSerialize, ZeroLengthOpsSurvive) {
   tb.on_dma(0, kNearBase, kFarBase + 1 * MiB, 0);
   tb.on_barrier(0, 0);
   std::stringstream ss;
-  save_trace(tb, ss, kTraceVersionVarint);
+  save_trace(tb, ss);
   EXPECT_TRUE(equal(tb, load_trace(ss)));
 }
 

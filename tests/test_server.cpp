@@ -421,6 +421,28 @@ TEST(JobServerTest, AttributionConservesMachineTotals) {
   EXPECT_GT(sb.attributed.far_bytes(), 0u);
 }
 
+TEST(JobServerTest, AttributionStartsAtServerConstruction) {
+  // Traffic the machine counted before the server existed belongs to no
+  // tenant: conservation (model.tenant_attribution at drain) holds over the
+  // server's lifetime, not the machine's.
+  Machine m(server_config());
+  auto far = m.alloc_array<std::uint8_t>(Space::Far, 512);
+  m.begin_phase("before-server");
+  m.stream_read(0, far.data(), 512);
+  m.end_phase();
+  const PhaseStats before = m.totals();
+  JobServer srv(m);
+  srv.add_tenant("a", m.near_arena().capacity());
+  auto res = std::make_shared<server::SortJobResult>();
+  srv.submit(
+      server::make_sort_job("a", "tiny", SortBackend::kGnu, 2048, 11, res));
+  srv.drain();
+  EXPECT_TRUE(res->verified);
+  const PhaseStats since = phase_delta(m.totals(), before);
+  EXPECT_EQ(srv.tenant_stats("a").attributed.far_read_bytes,
+            since.far_read_bytes);
+}
+
 TEST(JobServerTest, ThrashingTenantDegradesItselfNotNeighbors) {
   Machine m(server_config());
   JobServer srv(m);
